@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .errors import ConfigError
 
 
 @dataclass
@@ -175,13 +176,17 @@ class AgentHyperParams:
             raise ValueError("eps_decay must lie in (0, 1]")
         if self.eps_min > self.eps_start:
             raise ValueError("eps_min cannot exceed eps_start")
-        if min(self.batch_size, self.replay_capacity, self.warmup, self.train_per_step) < 0:
-            raise ValueError("sizes must be non-negative")
+        if self.batch_size < 1 or min(self.replay_capacity, self.warmup, self.train_per_step) < 0:
+            raise ValueError("batch_size must be >= 1 and the other sizes non-negative")
 
 
 def hypers_from_dict(raw: dict) -> AgentHyperParams:
-    hp = AgentHyperParams(**{k: tuple(v) if k == "hidden" else v for k, v in raw.items()})
-    hp.validate()
+    """Build and validate hyperparameters from the `agent` config section."""
+    try:
+        hp = AgentHyperParams(**{k: tuple(v) if k == "hidden" else v for k, v in raw.items()})
+        hp.validate()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad agent config: {exc}") from exc
     return hp
 
 

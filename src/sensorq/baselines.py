@@ -14,6 +14,8 @@ from . import nn
 from .env import OBS_SLOPE, OBS_TIME, SAMPLE, SKIP
 from .errors import ConfigError
 
+PROBE_CAP = 12  # threshold policy samples at least this often (epochs)
+
 
 class FixedPolicy:
     """Sample every `period` epochs (epoch 0, period, 2*period, ...)."""
@@ -57,15 +59,14 @@ class ThresholdPolicy:
 
     Samples when |EWMA slope| x epochs-since-last-sample exceeds the
     threshold. The slope feature is zero until two samples exist, so the
-    trigger alone can never start; a probe cap (sample at least every
-    `probe_cap` epochs) keeps the policy live.
+    trigger alone can never start; a probe (sample at least every
+    PROBE_CAP epochs) keeps the policy live.
     """
 
-    def __init__(self, threshold: float, probe_cap: int = 12, horizon: int = 200):
-        if threshold < 0 or probe_cap < 1:
-            raise ConfigError("threshold policy needs threshold >= 0 and probe_cap >= 1")
+    def __init__(self, threshold: float, horizon: int):
+        if threshold < 0:
+            raise ConfigError("threshold policy needs threshold >= 0")
         self.threshold = threshold
-        self.probe_cap = probe_cap
         self.horizon = horizon
         self.name = f"threshold({threshold:g})"
 
@@ -80,7 +81,7 @@ class ThresholdPolicy:
                 continue
             gap = obs[i, OBS_TIME] * self.horizon
             drift = abs(obs[i, OBS_SLOPE]) * gap
-            actions.append(SAMPLE if drift > self.threshold or gap >= self.probe_cap else SKIP)
+            actions.append(SAMPLE if drift > self.threshold or gap >= PROBE_CAP else SKIP)
         return actions
 
 
@@ -98,17 +99,3 @@ class GreedyQPolicy:
         q = nn.forward_batch(self.params, obs)
         return [int(np.argmax(q[i])) if m else None for i, m in enumerate(mask)]
 
-
-def baseline_policy(kind: str, params: dict):
-    """Factory for the comparison-table baselines."""
-    if kind == "fixed":
-        return FixedPolicy(int(params.get("period", 1)))
-    if kind == "random":
-        return RandomPolicy(float(params.get("q", 0.25)))
-    if kind == "threshold":
-        return ThresholdPolicy(
-            float(params.get("threshold", 0.15)),
-            int(params.get("probe_cap", 12)),
-            int(params.get("horizon", 200)),
-        )
-    raise ConfigError(f"unknown baseline kind {kind!r}")

@@ -42,6 +42,12 @@ def _load_spec(args):
     return spec
 
 
+def _plotdata(args, spec, stem: str) -> None:
+    if args.plotdata:
+        out = Path(spec.out_dir)
+        emit_plotdata(out / f"{stem}.csv", out / f"{stem}.dat")
+
+
 def cmd_ingest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -79,8 +85,7 @@ def cmd_compare(args) -> int:
             f"{r.policy:16s} quality={r.quality:.3f} energy={r.energy_mj:7.1f}mJ "
             f"redundancy={r.redundancy_pct:5.1f}% detection={r.detection_pct:5.1f}%"
         )
-    if args.plotdata:
-        emit_plotdata(Path(spec.out_dir) / "compare.csv", Path(spec.out_dir) / "compare.dat")
+    _plotdata(args, spec, "compare")
     return 0
 
 
@@ -93,10 +98,7 @@ def cmd_sweep_weights(args) -> int:
             f"weights={cell['triple']}: quality={r.quality:.3f} "
             f"energy={r.energy_mj:.1f}mJ detection={r.detection_pct:.1f}%"
         )
-    if args.plotdata:
-        emit_plotdata(
-            Path(spec.out_dir) / "weight_sweep.csv", Path(spec.out_dir) / "weight_sweep.dat"
-        )
+    _plotdata(args, spec, "weight_sweep")
     return 0
 
 
@@ -105,11 +107,7 @@ def cmd_sweep_interference(args) -> int:
     cells = run_interference_sweep(spec, check=args.check)
     for cell in cells:
         print(f"{cell['policy']:16s} eta={cell['eta']:.1f} quality={cell['quality']:.3f}")
-    if args.plotdata:
-        emit_plotdata(
-            Path(spec.out_dir) / "interference_sweep.csv",
-            Path(spec.out_dir) / "interference_sweep.dat",
-        )
+    _plotdata(args, spec, "interference_sweep")
     return 0
 
 
@@ -127,33 +125,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", action="store_true", help="also write the aligned series CSV")
     p.set_defaults(fn=cmd_ingest)
 
-    def common(p, mode=True):
+    def common(p):
         p.add_argument("--config", required=True)
         p.add_argument("--seeds", default=None, help="comma-separated, overrides config")
         p.add_argument("--out", required=True)
-        if mode:
-            p.add_argument("--mode", choices=["synthetic", "replay"], default=None)
+        p.add_argument("--mode", choices=["synthetic", "replay"], default=None)
+
+    def experiment(p):
+        common(p)
         p.add_argument("--plotdata", action="store_true", help="emit gnuplot-style .dat")
+        p.add_argument("--check", action="store_true", help="assert the directional orderings")
 
     p = sub.add_parser("train", help="train the sampling agent per seed")
     common(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("compare", help="policy comparison table")
-    common(p)
+    experiment(p)
     p.add_argument("--checkpoint", default=None, help="reuse a trained network snapshot")
     p.add_argument("--train", action="store_true", help="train dqn when no checkpoint")
-    p.add_argument("--check", action="store_true", help="assert the directional orderings")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("sweep-weights", help="reward-weight sweep")
-    common(p)
-    p.add_argument("--check", action="store_true")
+    experiment(p)
     p.set_defaults(fn=cmd_sweep_weights)
 
     p = sub.add_parser("sweep-interference", help="interference robustness sweep")
-    common(p)
-    p.add_argument("--check", action="store_true")
+    experiment(p)
     p.set_defaults(fn=cmd_sweep_interference)
     return parser
 

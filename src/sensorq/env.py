@@ -177,8 +177,10 @@ def config_from_dict(raw: dict) -> EnvConfig:
             float(w.get("info", 0.6)), float(w.get("energy", 0.2)), float(w.get("redundancy", 0.2))
         ))
     if "signal" in known:
-        s = known.pop("signal")
-        cfg = replace(cfg, signal=SignalParams(**{k: v for k, v in s.items()}))
+        try:
+            cfg = replace(cfg, signal=SignalParams(**known.pop("signal")))
+        except TypeError as exc:
+            raise ConfigError(f"bad signal config: {exc}") from exc
     if "ranges" in known:
         r = known.pop("ranges")
         cfg = replace(cfg, ranges={k: (float(lo), float(hi)) for k, (lo, hi) in r.items()})

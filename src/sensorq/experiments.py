@@ -118,18 +118,13 @@ def run_episode(env: SensorEnv, policy, episode_seed: int) -> metrics.EpisodeLog
 def evaluate_policy(cfg: EnvConfig, policy, seed: int, episodes: int, label: str) -> metrics.MetricsRow:
     """Mean metrics over `episodes` evaluation episodes for one seed."""
     env = SensorEnv(cfg)
-    rows = []
+    scores = []
     for ep in range(episodes):
         log = run_episode(env, policy, seed * EVAL_STRIDE + EVAL_BASE + ep)
-        rows.append(
-            (
-                metrics.data_quality(log),
-                metrics.energy_total(log),
-                metrics.redundancy_rate(log, cfg.delta_red),
-                metrics.event_detection_rate(log, cfg.detection_window),
-            )
-        )
-    q, e, r, d = np.mean(rows, axis=0)
+        row = metrics.score_episode(log, label, cfg.delta_red, cfg.detection_window)
+        scores.append((row.quality, row.energy_mj, row.redundancy_pct, row.detection_pct))
+    # one mean over the episodes x 4 array; aggregate() sums differently
+    q, e, r, d = np.mean(scores, axis=0)
     return metrics.MetricsRow(label, float(q), float(e), float(r), float(d))
 
 

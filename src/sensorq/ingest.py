@@ -7,14 +7,16 @@ fields in this order:
     (YYYY-MM-DD, HH:MM:SS[.ffffff], int, int, degC, %RH, lux, V)
 
 Lines that cannot be parsed are skipped, never fatal; each skip carries
-a reason code so ingestion is auditable. Kept readings are bucketed onto
-a regular grid of width delta_t seconds starting at the earliest kept
-timestamp (slot = floor((t - t0) / delta_t)); when two readings land in
-one slot the later one wins.
+a reason code so ingestion is auditable. Dates and times are read as UTC,
+so the result does not depend on the machine's timezone. Kept readings are
+bucketed onto a regular grid of width delta_t seconds starting at the
+earliest kept timestamp (slot = floor((t - t0) / delta_t)); when two
+readings land in one slot the later one wins.
 """
 
 from __future__ import annotations
 
+import calendar
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -49,13 +51,7 @@ class SensorReading:
     humidity: float
     light: float
     voltage: float
-
-    @property
-    def timestamp(self) -> float:
-        """Seconds since the Unix epoch (fractional)."""
-        text = f"{self.date} {self.time}"
-        fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in self.time else "%Y-%m-%d %H:%M:%S"
-        return datetime.strptime(text, fmt).timestamp()
+    timestamp: float  # seconds since the Unix epoch (fractional), date and time read as UTC
 
     def channel(self, name: str) -> float:
         return getattr(self, name)
@@ -111,23 +107,21 @@ def parse_line(line: str) -> SensorReading | ParseSkip:
         return ParseSkip(R_NUMBER)
     if mote < 1 or epoch < 0:
         return ParseSkip(R_RANGE)
-    reading = SensorReading(fields[0], fields[1], epoch, mote, *channels)
+    fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in fields[1] else "%Y-%m-%d %H:%M:%S"
     try:
-        reading.timestamp
+        when = datetime.strptime(f"{fields[0]} {fields[1]}", fmt)
     except ValueError:
         return ParseSkip(R_NUMBER)
-    return reading
+    stamp = calendar.timegm(when.timetuple()) + when.microsecond / 1e6
+    return SensorReading(fields[0], fields[1], epoch, mote, *channels, stamp)
 
 
-def load_trace(
-    path, delta_t: float = 60.0, windows: dict | None = None
-) -> tuple[dict[int, MoteSeries], IngestReport]:
+def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], IngestReport]:
     """Parse a trace file into per-mote aligned series plus a skip report.
 
     Raises OSError when the file cannot be read and ConfigError when no
     reading survives cleaning.
     """
-    windows = windows or PLAUSIBLE
     report = IngestReport()
     readings: list[SensorReading] = []
     with open(path) as fh:
@@ -138,7 +132,7 @@ def load_trace(
                 report.skip(parsed.reason)
                 continue
             if any(
-                not windows[ch][0] <= parsed.channel(ch) <= windows[ch][1] for ch in CHANNELS
+                not PLAUSIBLE[ch][0] <= parsed.channel(ch) <= PLAUSIBLE[ch][1] for ch in CHANNELS
             ):
                 report.skip(R_RANGE)
                 continue
@@ -189,28 +183,6 @@ def hold_fill(series: MoteSeries) -> MoteSeries:
     last[last < 0] = first_present
     filled = {ch: series.values[ch][last] for ch in CHANNELS}
     return MoteSeries(series.mote, filled, series.present.copy(), dict(series.stats))
-
-
-def usable_windows(series: MoteSeries, window: int, min_presence: float) -> list[int]:
-    """Start offsets (stride = window) whose presence rate clears the bar."""
-    if window < 1:
-        raise ConfigError("window must be positive")
-    n = len(series.present)
-    return [
-        s
-        for s in range(0, n - window + 1, window)
-        if series.present[s : s + window].mean() >= min_presence
-    ]
-
-
-def gap_fill(series: MoteSeries, policy: str, **kwargs) -> MoteSeries | list[int]:
-    """Dispatch on gap policy: "hold" fills values, "drop-episode" returns
-    the usable window offsets for the given window/min_presence."""
-    if policy == "hold":
-        return hold_fill(series)
-    if policy == "drop-episode":
-        return usable_windows(series, kwargs["window"], kwargs.get("min_presence", 0.5))
-    raise ConfigError(f"unknown gap policy {policy!r}")
 
 
 def write_report_csv(report: IngestReport, path) -> None:

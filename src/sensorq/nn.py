@@ -109,15 +109,6 @@ def _forward_cached(params: NetworkParams, x: np.ndarray):
     return acts, zs
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Q-values for a single feature vector. Pure and deterministic."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.in_dim,):
-        raise ValueError(f"input shape {x.shape}, expected ({params.in_dim},)")
-    acts, _ = _forward_cached(params, x[None, :])
-    return acts[-1][0]
-
-
 def forward_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Q-values for a (batch, in_dim) matrix of feature vectors."""
     x = np.asarray(x, dtype=np.float64)
@@ -127,8 +118,14 @@ def forward_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return acts[-1]
 
 
-def _backward_from_cache(params, acts, zs, grad_out: np.ndarray) -> NetworkParams:
-    """Reverse-mode pass; grad_out is (batch, out_dim), gradients sum over the batch."""
+def backward_batch(params: NetworkParams, x: np.ndarray, grad_out: np.ndarray) -> NetworkParams:
+    """Reverse-mode gradient of sum_i grad_out[i] . Q(x[i]) with respect to
+    every parameter; x is (batch, in_dim), grad_out (batch, out_dim)."""
+    x = np.asarray(x, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.in_dim or grad_out.shape != (x.shape[0], params.out_dim):
+        raise ValueError("batch shapes inconsistent with network dimensions")
+    acts, zs = _forward_cached(params, x)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
     delta = grad_out
     for i in range(len(params.layers) - 1, -1, -1):
@@ -137,28 +134,6 @@ def _backward_from_cache(params, acts, zs, grad_out: np.ndarray) -> NetworkParam
         if i > 0:
             delta = (delta @ w) * (zs[i - 1] > 0.0)
     return NetworkParams(grads)
-
-
-def backward(params: NetworkParams, x: np.ndarray, grad_out: np.ndarray) -> NetworkParams:
-    """Gradient of grad_out . forward(x) with respect to every parameter."""
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if x.shape != (params.in_dim,):
-        raise ValueError(f"input shape {x.shape}, expected ({params.in_dim},)")
-    if grad_out.shape != (params.out_dim,):
-        raise ValueError(f"grad_out shape {grad_out.shape}, expected ({params.out_dim},)")
-    acts, zs = _forward_cached(params, x[None, :])
-    return _backward_from_cache(params, acts, zs, grad_out[None, :])
-
-
-def backward_batch(params: NetworkParams, x: np.ndarray, grad_out: np.ndarray) -> NetworkParams:
-    """Batch form of backward; per-sample contributions are summed."""
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.in_dim or grad_out.shape != (x.shape[0], params.out_dim):
-        raise ValueError("batch shapes inconsistent with network dimensions")
-    acts, zs = _forward_cached(params, x)
-    return _backward_from_cache(params, acts, zs, grad_out)
 
 
 def adam_init(

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 KINDS = ("temperature", "humidity", "light", "voltage")
 KIND_INDEX = {k: i for i, k in enumerate(KINDS)}
 
@@ -49,9 +51,9 @@ class SignalParams:
 
     def validate(self) -> None:
         if self.period < 2 or self.sin_amp < 0 or self.walk_sigma < 0:
-            raise ValueError("invalid signal parameters")
+            raise ConfigError("signal needs period >= 2 and non-negative sin_amp, walk_sigma")
         if self.event_amp < 0 or self.n_events < 0 or self.min_event_epoch < 0:
-            raise ValueError("invalid event parameters")
+            raise ConfigError("signal event parameters must be non-negative")
 
 
 @dataclass
@@ -94,15 +96,6 @@ def synth_track(
     for e, s in zip(event_epochs, signs):
         values[e:] += s * params.event_amp * span
     return SignalTrack(values, [int(e) for e in event_epochs])
-
-
-def synth_value(
-    kind: str, epoch: int, seed: int, params: SignalParams, value_range: tuple[float, float], epochs: int
-) -> float:
-    """Single-epoch accessor over the deterministic track."""
-    if not 0 <= epoch < epochs:
-        raise ValueError("epoch out of range")
-    return float(synth_track(kind, epochs, seed, params, value_range).values[epoch])
 
 
 def inject_interference(

@@ -75,9 +75,9 @@ def test_01_gradient_fidelity():
             g = rng.normal(size=sizes[-1])
 
             def scalar(flat, params=params, x=x, g=g):
-                return float(g @ nn.forward(unflatten(flat, params), x))
+                return float(g @ nn.forward_batch(unflatten(flat, params), x[None])[0])
 
-            analytic = flatten(nn.backward(params, x, g))
+            analytic = flatten(nn.backward_batch(params, x[None], g[None]))
             numeric = np.array(fd_gradient(scalar, flatten(params).tolist(), h=1e-5))
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
             worst = max(worst, float(rel.max()))
@@ -103,8 +103,9 @@ def test_02_bellman_and_loss_oracle():
                 r = float(rng.normal())
                 done = bool(rng.integers(2))
                 transitions.append((s, a, r, s2, done))
-                got = bellman_target(r, gamma, nn.forward(target, s2), done)
-                want = naive_bellman(r, gamma, nn.forward(target, s2).tolist(), done)
+                q_next = nn.forward_batch(target, s2[None])[0]
+                got = bellman_target(r, gamma, q_next, done)
+                want = naive_bellman(r, gamma, q_next.tolist(), done)
                 assert abs(got - want) < 1e-12
             batch = Batch(
                 np.array([t[0] for t in transitions]),
@@ -167,7 +168,7 @@ def test_05_tabular_sanity():
         for state in (0, 1):
             obs = np.zeros(2)
             obs[state] = 1.0
-            q = nn.forward(result.params, obs)
+            q = nn.forward_batch(result.params, obs[None])[0]
             assert int(np.argmax(q)) == OPTIMAL[state]
             worst = max(worst, float(np.max(np.abs(q - np.array(q_star[state])))))
         assert worst < 0.05, f"worst q error {worst:.3f}"

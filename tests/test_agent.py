@@ -67,7 +67,7 @@ class TestTdLoss:
         for _ in range(6):
             t = make_transition(4, rng)
             t.a = int(rng.integers(3))
-            t.r = float(nn.forward(online, t.s)[t.a])  # y == Q exactly at gamma=0...
+            t.r = float(nn.forward_batch(online, t.s[None])[0, t.a])  # y == Q exactly at gamma=0...
             t.done = True
             transitions.append(t)
         loss, grads = td_loss(to_batch(transitions), online, online.copy(), 0.9)
@@ -82,8 +82,8 @@ class TestTdLoss:
         target = nn.init_network([3, 5, 2], rng)
         t = make_transition(3, rng)
         t.a = 1
-        y = bellman_target(t.r, 0.9, nn.forward(target, t.s2), t.done)
-        q = nn.forward(online, t.s)[1]
+        y = bellman_target(t.r, 0.9, nn.forward_batch(target, t.s2[None])[0], t.done)
+        q = nn.forward_batch(online, t.s[None])[0, 1]
         loss, _ = td_loss(to_batch([t]), online, target, 0.9)
         assert abs(loss - (y - q) ** 2) < 1e-12
 
@@ -292,7 +292,7 @@ class TestTrain:
         for state in (0, 1):
             obs = np.zeros(2)
             obs[state] = 1.0
-            q = nn.forward(result.params, obs)
+            q = nn.forward_batch(result.params, obs[None])[0]
             assert int(np.argmax(q)) == OPTIMAL[state]
 
     def test_hard_copy_mode_runs(self):

@@ -333,6 +333,28 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"agent": {"learning_rate": 0.01}},
+            {"env": {"signal": {"period": 1}}},
+            {"agent": {"batch_size": 0}},
+        ],
+        ids=["unknown-agent-key", "signal-period-1", "batch-size-0"],
+    )
+    def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, raw):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    def test_plotdata_only_on_experiments(self, tmp_path):
+        config = self.write_config(tmp_path)
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--config", str(config), "--out", str(tmp_path), "--plotdata"])
+
     def test_io_error_exit_code(self, tmp_path):
         code = cli.main(
             ["ingest", "--trace", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o")]

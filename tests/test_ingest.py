@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,25 @@ from sensorq.ingest import (
     MoteSeries,
     ParseSkip,
     SensorReading,
-    gap_fill,
     hold_fill,
     load_trace,
     parse_line,
-    usable_windows,
 )
 
 GOOD = "2004-03-01 00:58:46.002832 2 1 19.98 37.09 45.08 2.69"
+
+
+@pytest.fixture
+def local_tz(monkeypatch):
+    """Switch the process timezone; the original comes back at teardown."""
+
+    def use(name):
+        monkeypatch.setenv("TZ", name)
+        time.tzset()
+
+    yield use
+    monkeypatch.undo()
+    time.tzset()
 
 
 def write_trace(tmp_path, lines, name="trace.txt"):
@@ -49,7 +62,15 @@ class TestParseLine:
     def test_timestamp_without_fraction(self):
         r = parse_line("2004-03-01 10:00:00 5 3 20.0 40.0 100.0 2.7")
         assert isinstance(r, SensorReading)
-        assert r.timestamp == pytest.approx(r.timestamp)
+        assert r.timestamp == 1078135200.0  # 2004-03-01T10:00:00Z
+
+    def test_timestamp_with_fraction_is_utc(self, local_tz):
+        local_tz("America/New_York")
+        assert parse_line(GOOD).timestamp == 1078102726 + 0.002832
+
+    def test_bad_clock_skips_on_number(self):
+        r = parse_line("2004-03-01 25:61:00.0 2 1 19.9 37.0 45.0 2.69")
+        assert isinstance(r, ParseSkip) and r.reason == ingest.R_NUMBER
 
 
 class TestLoadTrace:
@@ -126,6 +147,17 @@ class TestLoadTrace:
             kept = ms.values[ch][ms.present]
             assert lo <= kept.min() and kept.max() <= hi
 
+    @pytest.mark.parametrize("tz", ["UTC", "Europe/Berlin"])
+    def test_slots_ignore_local_daylight_saving(self, tmp_path, local_tz, tz):
+        # Berlin skipped 02:00-03:00 local that night; as UTC the readings are 2 h apart
+        lines = [
+            "2004-03-28 01:30:00 0 1 20.0 40.0 100.0 2.7",
+            "2004-03-28 03:30:00 1 1 21.0 40.0 100.0 2.7",
+        ]
+        local_tz(tz)
+        series, _ = load_trace(write_trace(tmp_path, lines), delta_t=3600.0)
+        np.testing.assert_array_equal(series[1].present, [True, False, True])
+
     def test_empty_file_is_config_error(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("\n")
@@ -171,18 +203,6 @@ class TestGapFill:
         with pytest.raises(ConfigError):
             hold_fill(s)
 
-    def test_low_presence_window_excluded(self):
-        present = [1, 0, 0, 0, 0] + [1, 1, 1, 0, 1]
-        s = self.make_series(list(range(10)), present)
-        assert usable_windows(s, window=5, min_presence=0.5) == [5]
-
-    def test_gap_fill_dispatch(self):
-        s = self.make_series([1.0, np.nan], [1, 0])
-        assert isinstance(gap_fill(s, "hold"), MoteSeries)
-        assert gap_fill(s, "drop-episode", window=2, min_presence=0.4) == [0]
-        with pytest.raises(ConfigError):
-            gap_fill(s, "linear")
-
 
 class TestReplayIntegration:
     def test_replay_env_reproduces_series_exactly(self, tmp_path):
@@ -208,6 +228,26 @@ class TestReplayIntegration:
         expected = trace[1].values["temperature"][:10]
         got = [v for _, v in env._samples[0]]
         np.testing.assert_array_equal(got, expected)
+
+    def test_low_presence_window_excluded(self, tmp_path):
+        from sensorq.env import EnvConfig, ReplayConfig, SensorEnv
+
+        # slots 0-4 hold one reading (presence 0.2), slots 5-9 four (0.8)
+        lines = [
+            f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i}.0 40.0 100.0 2.7"
+            for i in (0, 5, 6, 7, 9)
+        ]
+        series, _ = load_trace(write_trace(tmp_path, lines))
+        trace = {m: hold_fill(s) for m, s in series.items()}
+        cfg = EnvConfig(
+            epochs=5,
+            mode="replay",
+            replay=ReplayConfig(sensors=[(1, "temperature")], min_presence=0.5),
+        )
+        env = SensorEnv(cfg, trace=trace)
+        for seed in (0, 1):
+            env.reset(seed)
+            np.testing.assert_array_equal(env._truth[0], [25.0, 26.0, 27.0, 27.0, 29.0])
 
     def test_report_csv(self, tmp_path):
         lines = [GOOD, "", "junk"]

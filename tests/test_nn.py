@@ -29,11 +29,11 @@ def unflatten(flat, template):
 class TestForward:
     def test_all_zero_params_give_zero_output(self):
         params = nn.zeros_like(tiny_net([3, 5, 2], 0))
-        assert np.array_equal(nn.forward(params, np.ones(3)), np.zeros(2))
+        assert np.array_equal(nn.forward_batch(params, np.ones(3)[None])[0], np.zeros(2))
 
     def test_identity_linear_layer(self):
         params = nn.NetworkParams([(np.eye(2), np.zeros(2))])
-        out = nn.forward(params, np.array([0.3, -0.7]))
+        out = nn.forward_batch(params, np.array([0.3, -0.7])[None])[0]
         assert np.array_equal(out, np.array([0.3, -0.7]))
 
     def test_seeded_243_matches_straight_line_reimplementation(self):
@@ -45,7 +45,7 @@ class TestForward:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             rng.uniform(-bound, bound, size=(fan_out, fan_in))
         x = rng.normal(size=2)
-        got = nn.forward(params, x)
+        got = nn.forward_batch(params, x[None])[0]
         layers = [(w.tolist(), b.tolist()) for w, b in params.layers]
         expected = naive_forward(layers, x.tolist())
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
@@ -55,14 +55,14 @@ class TestForward:
     def test_forward_is_pure(self):
         params = tiny_net([4, 8, 3], 7)
         x = np.random.default_rng(1).normal(size=4)
-        a = nn.forward(params, x)
-        b = nn.forward(params, x)
+        a = nn.forward_batch(params, x[None])[0]
+        b = nn.forward_batch(params, x[None])[0]
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch_rejected(self):
         params = tiny_net([3, 4, 2], 1)
         with pytest.raises(ValueError):
-            nn.forward(params, np.zeros(5))
+            nn.forward_batch(params, np.zeros(5)[None])[0]
 
     def test_batch_forward_matches_single(self):
         params = tiny_net([5, 6, 4], 3)
@@ -70,13 +70,14 @@ class TestForward:
         batch = nn.forward_batch(params, xs)
         for i in range(7):
             # allow BLAS path differences between (1,n) and (7,n) matmuls
-            np.testing.assert_allclose(batch[i], nn.forward(params, xs[i]), rtol=0, atol=1e-12)
+            one = nn.forward_batch(params, xs[i][None])[0]
+            np.testing.assert_allclose(batch[i], one, rtol=0, atol=1e-12)
 
 
 class TestBackward:
     def test_zero_grad_out_gives_zero_gradient(self):
         params = tiny_net([3, 4, 2], 5)
-        grads = nn.backward(params, np.ones(3), np.zeros(2))
+        grads = nn.backward_batch(params, np.ones(3)[None], np.zeros(2)[None])
         assert all(
             np.array_equal(gw, np.zeros_like(gw)) and np.array_equal(gb, np.zeros_like(gb))
             for gw, gb in grads.layers
@@ -86,7 +87,7 @@ class TestBackward:
         w = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 3.0]])
         params = nn.NetworkParams([(w, np.zeros(3))])
         x = np.array([1.5, -2.5])
-        grads = nn.backward(params, x, np.array([1.0, 0.0, 0.0]))
+        grads = nn.backward_batch(params, x[None], np.array([1.0, 0.0, 0.0])[None])
         expected_w = np.zeros_like(w)
         expected_w[0] = x
         np.testing.assert_array_equal(grads.layers[0][0], expected_w)
@@ -100,9 +101,9 @@ class TestBackward:
 
         def scalar(flat):
             p = unflatten(flat, params)
-            return float(g @ nn.forward(p, x))
+            return float(g @ nn.forward_batch(p, x[None])[0])
 
-        analytic = flatten(nn.backward(params, x, g))
+        analytic = flatten(nn.backward_batch(params, x[None], g[None]))
         numeric = np.array(fd_gradient(scalar, flatten(params).tolist(), h=1e-5))
         scale = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
@@ -110,7 +111,7 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         params = tiny_net([3, 4, 2], 1)
         with pytest.raises(ValueError):
-            nn.backward(params, np.zeros(3), np.zeros(5))
+            nn.backward_batch(params, np.zeros(3)[None], np.zeros(5)[None])
 
     def test_batch_backward_sums_per_sample(self):
         params = tiny_net([3, 5, 2], 21)
@@ -120,7 +121,7 @@ class TestBackward:
         batch = nn.backward_batch(params, xs, gs)
         summed = nn.zeros_like(params)
         for i in range(4):
-            one = nn.backward(params, xs[i], gs[i])
+            one = nn.backward_batch(params, xs[i][None], gs[i][None])
             summed = nn.NetworkParams(
                 [
                     (aw + bw, ab + bb)

@@ -53,11 +53,6 @@ class TestSynthTrack:
         assert abs(abs(jump) - 0.5 * span) < 1e-12
         np.testing.assert_allclose(np.diff(track.values[e:]), 0.0, atol=1e-12)
 
-    def test_single_value_accessor(self):
-        track = synth_track("humidity", 40, 11, SignalParams(), (20.0, 90.0))
-        got = signals.synth_value("humidity", 17, 11, SignalParams(), (20.0, 90.0), 40)
-        assert got == track.values[17]
-
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             synth_track("pressure", 10, 0, SignalParams(), RANGE)
