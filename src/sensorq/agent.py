@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDiverged
 
 
 @dataclass
@@ -124,13 +124,14 @@ def td_loss(
         raise ValueError("empty batch")
     q_next = nn.forward_batch(target, batch.s2)
     y = batch.r + gamma * q_next.max(axis=1) * ~batch.done
-    q_all = nn.forward_batch(online, batch.s)
+    acts, zs = nn.forward_cached(online, batch.s)
+    q_all = acts[-1]
     q_sa = q_all[np.arange(n), batch.a]
     residual = q_sa - y
     loss = float(np.mean(residual**2))
     grad_out = np.zeros_like(q_all)
     grad_out[np.arange(n), batch.a] = 2.0 * residual / n
-    grads = nn.backward_batch(online, batch.s, grad_out)
+    grads = nn.backward_batch(online, (acts, zs), grad_out)
     return loss, grads
 
 
@@ -201,12 +202,17 @@ def _reward_value(r) -> float:
     return r.total if hasattr(r, "total") else float(r)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResult:
     """Interact, replay, and update until the episode budget is spent.
 
     Per decision the pending (s, a) is closed against the next observation
     the same sensor gets to act on, with rewards accrued in between; in
     binary mode that reduces to ordinary one-step transitions.
+
+    The online network is updated in place. A non-finite gradient raises
+    TrainingDiverged naming the seed, the episode and the train step;
+    overflow on the way there is not warned about separately.
     """
     hypers.validate()
     master = np.random.SeedSequence(seed)
@@ -260,7 +266,13 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
                 for _ in range(hypers.train_per_step):
                     batch = pool.sample(hypers.batch_size, replay_rng)
                     loss, grads = td_loss(batch, online, target, hypers.gamma)
-                    online, opt = nn.adam_step(online, grads, opt)
+                    try:
+                        online, opt = nn.adam_step(online, grads, opt)
+                    except ValueError as exc:
+                        raise TrainingDiverged(
+                            f"training diverged at seed {seed}, episode {episode}, "
+                            f"train step {train_steps + 1}: {exc}"
+                        ) from exc
                     train_steps += 1
                     losses.append(loss)
                     if hypers.hard_copy_every:

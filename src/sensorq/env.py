@@ -213,6 +213,20 @@ def config_from_file(path) -> EnvConfig:
     return config_from_dict(raw.get("env", raw))
 
 
+def load_replay_trace(config: EnvConfig) -> dict | None:
+    """The hold-filled series of the trace a replay config names, read once
+    so that every SensorEnv(config, trace) replaying it can share them;
+    None in synthetic mode."""
+    if config.mode != "replay":
+        return None
+    if not config.replay.path:
+        raise ConfigError("replay mode needs preloaded series or a trace path")
+    from . import ingest
+
+    series, _ = ingest.load_trace(config.replay.path, delta_t=config.replay.delta_t)
+    return {m: ingest.hold_fill(s) for m, s in series.items()}
+
+
 class SensorEnv:
     """Multi-sensor sampling environment over synthetic or replayed signals.
 
@@ -266,12 +280,7 @@ class SensorEnv:
     def _reset_replay(self) -> None:
         cfg = self.config
         if self._trace is None:
-            if not cfg.replay.path:
-                raise ConfigError("replay mode needs preloaded series or a trace path")
-            from . import ingest
-
-            series, _ = ingest.load_trace(cfg.replay.path, delta_t=cfg.replay.delta_t)
-            self._trace = {m: ingest.hold_fill(s) for m, s in series.items()}
+            self._trace = load_replay_trace(cfg)
         if self._windows is None:
             self._windows = self._usable_windows()
         if not self._windows:

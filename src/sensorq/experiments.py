@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, metrics, nn
 from .agent import AgentHyperParams, TrainResult, train, write_curve_csv
 from .baselines import FixedPolicy, GreedyQPolicy, RandomPolicy, ThresholdPolicy
-from .env import EnvConfig, RewardWeights, SensorEnv
+from .env import EnvConfig, RewardWeights, SensorEnv, load_replay_trace
 from .errors import CheckFailure, ConfigError
 
 EVAL_BASE = 100_000
@@ -115,9 +115,14 @@ def run_episode(env: SensorEnv, policy, episode_seed: int) -> metrics.EpisodeLog
     return env.episode_log()
 
 
-def evaluate_policy(cfg: EnvConfig, policy, seed: int, episodes: int, label: str) -> metrics.MetricsRow:
-    """Mean metrics over `episodes` evaluation episodes for one seed."""
-    env = SensorEnv(cfg)
+def evaluate_policy(
+    cfg: EnvConfig, policy, seed: int, episodes: int, label: str, trace=None
+) -> metrics.MetricsRow:
+    """Mean metrics over `episodes` evaluation episodes for one seed.
+
+    `trace` is handed to SensorEnv: the replay series from
+    `load_replay_trace(cfg)`, or None to have the env read them itself."""
+    env = SensorEnv(cfg, trace)
     scores = []
     for ep in range(episodes):
         log = run_episode(env, policy, seed * EVAL_STRIDE + EVAL_BASE + ep)
@@ -128,8 +133,10 @@ def evaluate_policy(cfg: EnvConfig, policy, seed: int, episodes: int, label: str
     return metrics.MetricsRow(label, float(q), float(e), float(r), float(d))
 
 
-def train_dqn(cfg: EnvConfig, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResult:
-    return train(SensorEnv(cfg), hypers, episodes, seed)
+def train_dqn(
+    cfg: EnvConfig, hypers: AgentHyperParams, episodes: int, seed: int, trace=None
+) -> TrainResult:
+    return train(SensorEnv(cfg, trace), hypers, episodes, seed)
 
 
 _POLICY_RE = re.compile(r"^(fixed|random|threshold)\(([-0-9.e]+)\)$")
@@ -148,16 +155,27 @@ def make_baseline(text: str, horizon: int):
     return ThresholdPolicy(arg, horizon=horizon)
 
 
-def _dqn_params_per_seed(spec: ExperimentSpec, cfg: EnvConfig) -> dict[int, nn.NetworkParams]:
+def _dqn_params_per_seed(
+    spec: ExperimentSpec, cfg: EnvConfig, trace
+) -> dict[int, nn.NetworkParams]:
     """Checkpoint if given (shared across seeds), otherwise train per seed."""
     if spec.checkpoint:
-        params = nn.load_network(spec.checkpoint)
+        try:
+            params = nn.load_network(spec.checkpoint)
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {spec.checkpoint}: {exc}") from exc
+        shape = (SensorEnv.obs_dim, SensorEnv(cfg).num_actions)
+        if (params.in_dim, params.out_dim) != shape:
+            raise ConfigError(
+                f"checkpoint {spec.checkpoint}: network maps {params.in_dim} -> "
+                f"{params.out_dim} values, the environment needs {shape[0]} -> {shape[1]}"
+            )
         return {s: params for s in spec.seeds}
     if not spec.train_missing:
         raise ConfigError("dqn policy needs a checkpoint or training enabled")
     out: dict[int, nn.NetworkParams] = {}
     for s in spec.seeds:
-        result = train_dqn(cfg, spec.hypers, spec.train_episodes, s)
+        result = train_dqn(cfg, spec.hypers, spec.train_episodes, s, trace)
         out[s] = result.params
         ckpt = Path(spec.out_dir) / f"dqn_seed{s}.txt"
         nn.save_network(result.params, ckpt)
@@ -183,7 +201,8 @@ def run_compare(spec: ExperimentSpec, check: bool = False) -> list[metrics.Metri
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = spec.env
-    dqn_params = _dqn_params_per_seed(spec, cfg) if "dqn" in spec.policies else {}
+    trace = load_replay_trace(cfg)
+    dqn_params = _dqn_params_per_seed(spec, cfg, trace) if "dqn" in spec.policies else {}
 
     reports = []
     for text in spec.policies:
@@ -194,17 +213,18 @@ def run_compare(spec: ExperimentSpec, check: bool = False) -> list[metrics.Metri
                 if text == "dqn"
                 else make_baseline(text, cfg.epochs)
             )
-            rows.append(evaluate_policy(cfg, policy, s, spec.eval_episodes, text))
+            rows.append(evaluate_policy(cfg, policy, s, spec.eval_episodes, text, trace))
         reports.append(metrics.aggregate(rows, spec.seeds))
     metrics.write_reports_csv(reports, out_dir / "compare.csv")
     write_manifest(spec, "compare", out_dir)
     if check:
-        check_compare(spec, reports)
+        check_compare(spec, reports, trace)
     return reports
 
 
-def check_compare(spec: ExperimentSpec, reports: list[metrics.MetricsReport]) -> None:
-    """Directional assertions mirroring the published comparison table."""
+def check_compare(spec: ExperimentSpec, reports: list[metrics.MetricsReport], trace=None) -> None:
+    """Directional assertions mirroring the published comparison table;
+    `trace` as for evaluate_policy."""
     by = {r.policy: r for r in reports}
     if "dqn" not in by or "fixed(1)" not in by:
         raise CheckFailure("compare --check needs both dqn and fixed(1) in policies")
@@ -216,7 +236,9 @@ def check_compare(spec: ExperimentSpec, reports: list[metrics.MetricsReport]) ->
         failures.append("dqn redundancy not below fixed(1)")
     q_hat = matched_random_rate(spec.env, dqn.energy_mj)
     rows = [
-        evaluate_policy(spec.env, RandomPolicy(q_hat), s, spec.eval_episodes, "random-matched")
+        evaluate_policy(
+            spec.env, RandomPolicy(q_hat), s, spec.eval_episodes, "random-matched", trace
+        )
         for s in spec.seeds
     ]
     matched = metrics.aggregate(rows, spec.seeds)
@@ -242,13 +264,16 @@ def run_weight_sweep(spec: ExperimentSpec, check: bool = False) -> list[dict]:
     spec.validate("weight-sweep")
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    trace = load_replay_trace(spec.env)
     results = []
     for triple in spec.weight_triples:
         cfg = replace(spec.env, weights=RewardWeights(*triple))
         rows = []
         for s in spec.seeds:
-            params = train_dqn(cfg, spec.hypers, spec.train_episodes, s).params
-            rows.append(evaluate_policy(cfg, GreedyQPolicy(params), s, spec.eval_episodes, "dqn"))
+            params = train_dqn(cfg, spec.hypers, spec.train_episodes, s, trace).params
+            rows.append(
+                evaluate_policy(cfg, GreedyQPolicy(params), s, spec.eval_episodes, "dqn", trace)
+            )
         agg = metrics.aggregate(rows, spec.seeds)
         results.append({"triple": triple, "report": agg})
     with open(out_dir / "weight_sweep.csv", "w", newline="") as fh:
@@ -299,7 +324,8 @@ def run_interference_sweep(spec: ExperimentSpec, check: bool = False) -> list[di
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clean_cfg = replace(spec.env, eta=0.0)
-    dqn_params = _dqn_params_per_seed(spec, clean_cfg) if "dqn" in spec.policies else {}
+    trace = load_replay_trace(spec.env)
+    dqn_params = _dqn_params_per_seed(spec, clean_cfg, trace) if "dqn" in spec.policies else {}
 
     results = []
     for text in spec.policies:
@@ -312,7 +338,7 @@ def run_interference_sweep(spec: ExperimentSpec, check: bool = False) -> list[di
                     if text == "dqn"
                     else make_baseline(text, cfg.epochs)
                 )
-                row = evaluate_policy(cfg, policy, s, spec.eval_episodes, text)
+                row = evaluate_policy(cfg, policy, s, spec.eval_episodes, text, trace)
                 per_seed.append(row.quality)
             arr = np.array(per_seed)
             results.append(

@@ -2,8 +2,13 @@
 
 A fixed-shape multilayer perceptron (ReLU hidden layers, linear output)
 plus an adaptive-moment optimizer and the soft target-blend update.
-Everything is float64 numpy so tests can pin tight tolerances; parameters
-live in a plain container and all updates return new containers.
+Everything is float64 numpy so tests can pin tight tolerances.
+
+Each network (and each gradient) lives in one contiguous float64 vector,
+`NetworkParams.flat`; its per-layer `(w, b)` pairs are views into that
+vector. `adam_step` and `soft_update` rewrite the vectors in place with
+whole-vector ufuncs and return the very containers they were given, so a
+caller that needs an unchanging network keeps a `copy()`.
 
 Snapshot format (text, version-tagged):
 
@@ -15,22 +20,51 @@ Snapshot format (text, version-tagged):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 FORMAT_TAG = "sensorq-net 1"
 
 
-@dataclass
+def _views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (w, b) views into `flat`, laid out w then b, layer by layer."""
+    layers, k = [], 0
+    for out, inp in shapes:
+        w = flat[k : k + out * inp].reshape(out, inp)
+        k += out * inp
+        layers.append((w, flat[k : k + out]))
+        k += out
+    return layers
+
+
 class NetworkParams:
     """Per-layer (weights, bias) pairs; weights are (out, in).
+
+    All of them are views into the one float64 vector `flat` (layer by
+    layer, weights row-major and then the bias), so writing to `flat`
+    writes every layer and vice versa. Building from a list of layers
+    copies them into a new vector.
 
     Also serves as the container for gradients, which are shaped exactly
     like the parameters they belong to.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]):
+        if any(w.ndim != 2 or b.shape != (w.shape[0],) for w, b in layers):
+            raise ValueError("each layer needs an (out, in) weight and an (out,) bias")
+        self._shapes = [w.shape for w, _ in layers]
+        parts = [np.concatenate([w.ravel(), b]) for w, b in layers]
+        self.flat = np.concatenate(parts, dtype=np.float64)
+        self.layers = _views(self.flat, self._shapes)
+
+    def _over(self, flat: np.ndarray) -> "NetworkParams":
+        """A container with this one's layer shapes whose vector is `flat`."""
+        other = object.__new__(NetworkParams)
+        other._shapes = self._shapes
+        other.flat = flat
+        other.layers = _views(flat, self._shapes)
+        return other
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -47,20 +81,26 @@ class NetworkParams:
         return self.layers[-1][0].shape[0]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams([(w.copy(), b.copy()) for w, b in self.layers])
+        return self._over(self.flat.copy())
 
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators mirroring a NetworkParams instance."""
+    """Adaptive-moment accumulators: `m` and `v` are flat vectors laid out
+    like `NetworkParams.flat`, updated in place by `adam_step`, which also
+    uses the two scratch vectors made here."""
 
-    m: list[tuple[np.ndarray, np.ndarray]]
-    v: list[tuple[np.ndarray, np.ndarray]]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     step_size: float
     beta1: float
     beta2: float
     eps: float
+    _scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def _check_chain(layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
@@ -88,15 +128,18 @@ def init_network(sizes: list[int], rng: np.random.Generator | int) -> NetworkPar
 
 
 def zeros_like(params: NetworkParams) -> NetworkParams:
-    return NetworkParams([(np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers])
+    return params._over(np.zeros_like(params.flat))
 
 
-def _forward_cached(params: NetworkParams, x: np.ndarray):
-    """Batch forward pass keeping pre-activations for the backward pass.
+def forward_cached(params: NetworkParams, x: np.ndarray):
+    """Batch forward pass keeping what `backward_batch` needs.
 
     x is (batch, in_dim); returns (activations, pre_activations) where
     activations[0] is the input and activations[-1] the linear output.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.in_dim:
+        raise ValueError(f"input shape {x.shape}, expected (n, {params.in_dim})")
     acts = [x]
     zs = []
     last = len(params.layers) - 1
@@ -111,29 +154,28 @@ def _forward_cached(params: NetworkParams, x: np.ndarray):
 
 def forward_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Q-values for a (batch, in_dim) matrix of feature vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.in_dim:
-        raise ValueError(f"input shape {x.shape}, expected (n, {params.in_dim})")
-    acts, _ = _forward_cached(params, x)
+    acts, _ = forward_cached(params, x)
     return acts[-1]
 
 
-def backward_batch(params: NetworkParams, x: np.ndarray, grad_out: np.ndarray) -> NetworkParams:
+def backward_batch(params: NetworkParams, cache, grad_out: np.ndarray) -> NetworkParams:
     """Reverse-mode gradient of sum_i grad_out[i] . Q(x[i]) with respect to
-    every parameter; x is (batch, in_dim), grad_out (batch, out_dim)."""
-    x = np.asarray(x, dtype=np.float64)
+    every parameter, where `cache` is `forward_cached(params, x)` for the
+    (batch, in_dim) input x and grad_out is (batch, out_dim). The gradient
+    is written into one new flat vector."""
+    acts, zs = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.in_dim or grad_out.shape != (x.shape[0], params.out_dim):
+    if len(zs) != len(params.layers) or grad_out.shape != (acts[0].shape[0], params.out_dim):
         raise ValueError("batch shapes inconsistent with network dimensions")
-    acts, zs = _forward_cached(params, x)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    grads = params._over(np.empty_like(params.flat))
     delta = grad_out
     for i in range(len(params.layers) - 1, -1, -1):
-        w, _ = params.layers[i]
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        gw, gb = grads.layers[i]
+        np.matmul(delta.T, acts[i], out=gw)
+        delta.sum(axis=0, out=gb)
         if i > 0:
-            delta = (delta @ w) * (zs[i - 1] > 0.0)
-    return NetworkParams(grads)
+            delta = (delta @ params.layers[i][0]) * (zs[i - 1] > 0.0)
+    return grads
 
 
 def adam_init(
@@ -145,57 +187,62 @@ def adam_init(
 ) -> OptimizerState:
     if step_size <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1) or eps <= 0:
         raise ValueError("invalid optimizer hyperparameters")
-    z = zeros_like(params)
-    return OptimizerState(z.layers, zeros_like(params).layers, 0, step_size, beta1, beta2, eps)
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    return OptimizerState(m, v, 0, step_size, beta1, beta2, eps)
 
 
 def adam_step(
     params: NetworkParams, grads: NetworkParams, state: OptimizerState
 ) -> tuple[NetworkParams, OptimizerState]:
-    """One adaptive-moment update with bias correction.
+    """One adaptive-moment update with bias correction, in place.
 
-    Rejects non-finite gradients without touching the parameters.
+    Rewrites params.flat, state.m and state.v and returns (params, state)
+    themselves. Each element goes through m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g**2, p = p - lr*(m/c1)/(sqrt(v/c2)+eps) in that
+    order. Rejects mismatched or non-finite gradients before writing
+    anything.
     """
-    if [w.shape for w, _ in grads.layers] != [w.shape for w, _ in params.layers]:
+    if grads._shapes != params._shapes:
         raise ValueError("gradient shapes do not match parameters")
-    for gw, gb in grads.layers:
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise ValueError("non-finite gradient entries")
-    t = state.step + 1
+    g = grads.flat
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite gradient entries")
+    state.step += 1
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    new_layers, new_m, new_v = [], [], []
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(
-        params.layers, grads.layers, state.m, state.v
-    ):
-        mw2 = b1 * mw + (1 - b1) * gw
-        mb2 = b1 * mb + (1 - b1) * gb
-        vw2 = b2 * vw + (1 - b2) * gw**2
-        vb2 = b2 * vb + (1 - b2) * gb**2
-        w2 = w - state.step_size * (mw2 / c1) / (np.sqrt(vw2 / c2) + state.eps)
-        b2_ = b - state.step_size * (mb2 / c1) / (np.sqrt(vb2 / c2) + state.eps)
-        new_layers.append((w2, b2_))
-        new_m.append((mw2, mb2))
-        new_v.append((vw2, vb2))
-    new_state = OptimizerState(
-        new_m, new_v, t, state.step_size, state.beta1, state.beta2, state.eps
-    )
-    return NetworkParams(new_layers), new_state
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
+    m, v, p = state.m, state.v, params.flat
+    s, r = state._scratch
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1 - b1, out=s)
+    np.add(m, s, out=m)
+    np.square(g, out=s)
+    np.multiply(s, 1 - b2, out=s)
+    np.multiply(v, b2, out=v)
+    np.add(v, s, out=v)
+    np.divide(m, c1, out=s)
+    np.multiply(s, state.step_size, out=s)
+    np.divide(v, c2, out=r)
+    np.sqrt(r, out=r)
+    np.add(r, state.eps, out=r)
+    np.divide(s, r, out=s)
+    np.subtract(p, s, out=p)
+    return params, state
 
 
 def soft_update(online: NetworkParams, target: NetworkParams, tau: float) -> NetworkParams:
-    """Blend target toward online: tau * online + (1 - tau) * target."""
+    """Blend target toward online in place: tau * online + (1 - tau) * target.
+
+    Returns `target` itself."""
     if not (0.0 < tau <= 1.0):
         raise ValueError("tau must be in (0, 1]")
-    if [w.shape for w, _ in online.layers] != [w.shape for w, _ in target.layers]:
+    if online._shapes != target._shapes:
         raise ValueError("network shapes differ")
-    return NetworkParams(
-        [
-            (tau * wo + (1 - tau) * wt, tau * bo + (1 - tau) * bt)
-            for (wo, bo), (wt, bt) in zip(online.layers, target.layers)
-        ]
-    )
+    t = target.flat
+    blend = online.flat * tau
+    np.multiply(t, 1 - tau, out=t)
+    np.add(blend, t, out=t)
+    return target
 
 
 def save_network(params: NetworkParams, path) -> None:
@@ -215,11 +262,15 @@ def load_network(path) -> NetworkParams:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != FORMAT_TAG:
-        raise ValueError(f"not a {FORMAT_TAG!r} snapshot: {path}")
-    head = [int(tok) for tok in lines[1].split()]
-    n_sizes, sizes = head[0], head[1:]
-    if len(sizes) != n_sizes or n_sizes < 2:
+        raise ValueError(f"not a {FORMAT_TAG!r} snapshot")
+    try:
+        n_sizes, *sizes = [int(tok) for tok in lines[1].split()]
+    except (IndexError, ValueError):
+        raise ValueError("corrupt snapshot header") from None
+    if len(sizes) != n_sizes or n_sizes < 2 or min(sizes) < 1:
         raise ValueError("corrupt snapshot header")
+    if len(lines) != 2 + sum(sizes[1:]) + n_sizes - 1:
+        raise ValueError("corrupt snapshot body")
     layers = []
     cursor = 2
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def naive_forward(layers, x):
     """Straight-line MLP forward: list of (W, b) with W as row-major
@@ -57,6 +59,33 @@ def naive_td_loss(transitions, online_layers, target_layers, gamma):
         q = naive_forward(online_layers, s)[a]
         total += (y - q) ** 2
     return total / len(transitions)
+
+
+def adam_layers(layers, grads, m, v, t, step_size, b1, b2, eps):
+    """Adaptive-moment step t (1-based) over lists of (w, b) arrays, one
+    layer at a time with fresh arrays. Returns (layers, m, v)."""
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    new_layers, new_m, new_v = [], [], []
+    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(layers, grads, m, v):
+        mw2 = b1 * mw + (1 - b1) * gw
+        mb2 = b1 * mb + (1 - b1) * gb
+        vw2 = b2 * vw + (1 - b2) * gw**2
+        vb2 = b2 * vb + (1 - b2) * gb**2
+        w2 = w - step_size * (mw2 / c1) / (np.sqrt(vw2 / c2) + eps)
+        b2_ = b - step_size * (mb2 / c1) / (np.sqrt(vb2 / c2) + eps)
+        new_layers.append((w2, b2_))
+        new_m.append((mw2, mb2))
+        new_v.append((vw2, vb2))
+    return new_layers, new_m, new_v
+
+
+def soft_blend_layers(online, target, tau):
+    """tau * online + (1 - tau) * target, layer by layer."""
+    return [
+        (tau * wo + (1 - tau) * wt, tau * bo + (1 - tau) * bt)
+        for (wo, bo), (wt, bt) in zip(online, target)
+    ]
 
 
 def zoh_series(length, samples):

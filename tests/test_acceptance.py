@@ -69,7 +69,7 @@ def test_01_gradient_fidelity():
             # finite differences are clean at h=1e-5
             for _ in range(50):
                 x = rng.normal(size=sizes[0])
-                acts, zs = nn._forward_cached(params, x[None, :])
+                acts, zs = nn.forward_cached(params, x[None, :])
                 if min(np.abs(z).min() for z in zs[:-1]) > 1e-3:
                     break
             g = rng.normal(size=sizes[-1])
@@ -77,7 +77,7 @@ def test_01_gradient_fidelity():
             def scalar(flat, params=params, x=x, g=g):
                 return float(g @ nn.forward_batch(unflatten(flat, params), x[None])[0])
 
-            analytic = flatten(nn.backward_batch(params, x[None], g[None]))
+            analytic = flatten(nn.backward_batch(params, nn.forward_cached(params, x[None]), g[None]))
             numeric = np.array(fd_gradient(scalar, flatten(params).tolist(), h=1e-5))
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
             worst = max(worst, float(rel.max()))

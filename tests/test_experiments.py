@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from sensorq import metrics, nn
 from sensorq.agent import AgentHyperParams
 from sensorq.baselines import FixedPolicy
-from sensorq.env import EnvConfig, SensorEnv
+from sensorq.env import EnvConfig, ReplayConfig, SensorEnv
 from sensorq.errors import CheckFailure, ConfigError
 from sensorq.experiments import (
     ExperimentSpec,
@@ -181,6 +182,30 @@ class TestCompare:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("runner", [run_compare, run_weight_sweep, run_interference_sweep])
+def test_replay_trace_read_once_per_experiment(tmp_path, monkeypatch, runner):
+    from sensorq import ingest
+
+    trace = tmp_path / "trace.txt"
+    trace.write_text(
+        "".join(f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 9}.0 40.0 100.0 2.7\n" for i in range(12))
+    )
+    real, calls = ingest.load_trace, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "load_trace", counting)
+    env = tiny_env(epochs=12, mode="replay",
+                   replay=ReplayConfig(sensors=[(1, "temperature")], path=str(trace)))
+    spec = tiny_spec(tmp_path / "out", env=env, seeds=[1], policies=["fixed(1)", "dqn"],
+                     train_episodes=2, weight_triples=[(0.6, 0.2, 0.2), (0.2, 0.5, 0.3)],
+                     eta_grid=[0.0, 0.5])
+    runner(spec)
+    assert len(calls) == 1
+
+
 class TestWeightSweep:
     def test_rows_and_duplicate_triples(self, tmp_path):
         triples = [(0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.6, 0.2, 0.2)]
@@ -349,6 +374,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # overflow warnings would print more lines
+    def test_divergence_is_one_line_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        raw = dict(CONFIG_JSON, agent={"lr": 1e150, "warmup": 64})
+        raw["experiment"] = dict(raw["experiment"], train_episodes=30)
+        path.write_text(json.dumps(raw))
+        code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out"), "--seeds", "3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert re.match(
+            r"configuration error: training diverged at seed 3, episode \d+, train step \d+: ", err
+        )
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-tag", "wrong-shape"])
+    def test_bad_checkpoint_is_one_line_exit_1(self, tmp_path, capsys, damage):
+        ckpt = tmp_path / "net.txt"
+        if damage == "wrong-shape":
+            nn.save_network(nn.init_network([3, 2], 1), ckpt)
+        else:
+            nn.save_network(nn.init_network([10, 8, 2], 1), ckpt)
+            lines = ckpt.read_text().splitlines()
+            if damage == "truncated":
+                lines = lines[:5]
+            else:
+                lines[0] = "sensorq-net 2"
+            ckpt.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "config.json"
+        raw = dict(CONFIG_JSON)
+        raw["experiment"] = dict(raw["experiment"], policies=["dqn"])
+        path.write_text(json.dumps(raw))
+        code = cli.main(
+            ["compare", "--config", str(path), "--out", str(tmp_path / "out"),
+             "--checkpoint", str(ckpt)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"configuration error: checkpoint {ckpt}: ") and err.count("\n") == 1
 
     def test_plotdata_only_on_experiments(self, tmp_path):
         config = self.write_config(tmp_path)

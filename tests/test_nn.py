@@ -3,7 +3,7 @@ import pytest
 
 from sensorq import nn
 
-from oracles import fd_gradient, naive_forward
+from oracles import adam_layers, fd_gradient, naive_forward, soft_blend_layers
 
 
 def tiny_net(sizes, seed):
@@ -77,7 +77,7 @@ class TestForward:
 class TestBackward:
     def test_zero_grad_out_gives_zero_gradient(self):
         params = tiny_net([3, 4, 2], 5)
-        grads = nn.backward_batch(params, np.ones(3)[None], np.zeros(2)[None])
+        grads = nn.backward_batch(params, nn.forward_cached(params, np.ones(3)[None]), np.zeros(2)[None])
         assert all(
             np.array_equal(gw, np.zeros_like(gw)) and np.array_equal(gb, np.zeros_like(gb))
             for gw, gb in grads.layers
@@ -87,7 +87,9 @@ class TestBackward:
         w = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 3.0]])
         params = nn.NetworkParams([(w, np.zeros(3))])
         x = np.array([1.5, -2.5])
-        grads = nn.backward_batch(params, x[None], np.array([1.0, 0.0, 0.0])[None])
+        grads = nn.backward_batch(
+            params, nn.forward_cached(params, x[None]), np.array([1.0, 0.0, 0.0])[None]
+        )
         expected_w = np.zeros_like(w)
         expected_w[0] = x
         np.testing.assert_array_equal(grads.layers[0][0], expected_w)
@@ -103,7 +105,7 @@ class TestBackward:
             p = unflatten(flat, params)
             return float(g @ nn.forward_batch(p, x[None])[0])
 
-        analytic = flatten(nn.backward_batch(params, x[None], g[None]))
+        analytic = flatten(nn.backward_batch(params, nn.forward_cached(params, x[None]), g[None]))
         numeric = np.array(fd_gradient(scalar, flatten(params).tolist(), h=1e-5))
         scale = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
@@ -111,17 +113,17 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         params = tiny_net([3, 4, 2], 1)
         with pytest.raises(ValueError):
-            nn.backward_batch(params, np.zeros(3)[None], np.zeros(5)[None])
+            nn.backward_batch(params, nn.forward_cached(params, np.zeros(3)[None]), np.zeros(5)[None])
 
     def test_batch_backward_sums_per_sample(self):
         params = tiny_net([3, 5, 2], 21)
         rng = np.random.default_rng(22)
         xs = rng.normal(size=(4, 3))
         gs = rng.normal(size=(4, 2))
-        batch = nn.backward_batch(params, xs, gs)
+        batch = nn.backward_batch(params, nn.forward_cached(params, xs), gs)
         summed = nn.zeros_like(params)
         for i in range(4):
-            one = nn.backward_batch(params, xs[i][None], gs[i][None])
+            one = nn.backward_batch(params, nn.forward_cached(params, xs[i][None]), gs[i][None])
             summed = nn.NetworkParams(
                 [
                     (aw + bw, ab + bb)
@@ -139,9 +141,10 @@ class TestAdam:
 
     def test_zero_gradient_keeps_params(self):
         params = tiny_net([3, 4, 2], 2)
+        before = params.copy()
         state = nn.adam_init(params)
         new, state2 = nn.adam_step(params, nn.zeros_like(params), state)
-        for (w, b), (w2, b2) in zip(params.layers, new.layers):
+        for (w, b), (w2, b2) in zip(before.layers, new.layers):
             np.testing.assert_array_equal(w, w2)
             np.testing.assert_array_equal(b, b2)
         assert state2.step == 1
@@ -167,9 +170,13 @@ class TestAdam:
         params = self.scalar_net(1.0)
         grads = nn.NetworkParams([(np.array([[np.nan]]), np.zeros(1))])
         state = nn.adam_init(params)
+        state.m[:] = 0.5
+        state.v[:] = 0.25
         with pytest.raises(ValueError):
             nn.adam_step(params, grads, state)
         assert params.layers[0][0][0, 0] == 1.0
+        assert np.array_equal(state.m, [0.5, 0.5]) and np.array_equal(state.v, [0.25, 0.25])
+        assert state.step == 0
 
 
 class TestSoftUpdate:
@@ -208,8 +215,9 @@ class TestSoftUpdate:
         for tau in (0.05, 0.5, 0.95):
             online = tiny_net([3, 4, 2], int(rng.integers(1e6)))
             target = tiny_net([3, 4, 2], int(rng.integers(1e6)))
+            before = target.copy()
             out = nn.soft_update(online, target, tau)
-            for (wo, _), (wt, _), (wx, _) in zip(online.layers, target.layers, out.layers):
+            for (wo, _), (wt, _), (wx, _) in zip(online.layers, before.layers, out.layers):
                 lo = np.minimum(wo, wt) - 1e-12
                 hi = np.maximum(wo, wt) + 1e-12
                 assert ((wx >= lo) & (wx <= hi)).all()
@@ -217,6 +225,49 @@ class TestSoftUpdate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             nn.soft_update(tiny_net([2, 3, 2], 1), tiny_net([2, 4, 2], 1), 0.5)
+
+
+class TestFlatUpdate:
+    def test_matches_per_layer_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        online = tiny_net([10, 64, 64, 2], 1)
+        target = online.copy()
+        state = nn.adam_init(online, step_size=1e-3)
+        ref = [(w.copy(), b.copy()) for w, b in online.layers]
+        ref_target = [(w.copy(), b.copy()) for w, b in target.layers]
+        ref_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in ref]
+        ref_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in ref]
+        for t in range(1, 51):
+            scale = 10.0 ** rng.uniform(-4, 1)
+            g = [(scale * rng.normal(size=w.shape), scale * rng.normal(size=b.shape)) for w, b in ref]
+            online, state = nn.adam_step(online, nn.NetworkParams(g), state)
+            target = nn.soft_update(online, target, 0.005)
+            ref, ref_m, ref_v = adam_layers(ref, g, ref_m, ref_v, t, 1e-3, 0.9, 0.999, 1e-8)
+            ref_target = soft_blend_layers(ref, ref_target, 0.005)
+        flat = lambda layers: np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
+        assert state.step == 50
+        assert np.array_equal(online.flat, flat(ref))
+        assert np.array_equal(state.m, flat(ref_m))
+        assert np.array_equal(state.v, flat(ref_v))
+        assert np.array_equal(target.flat, flat(ref_target))
+
+    def test_layers_are_views_of_flat(self):
+        params = tiny_net([3, 4, 2], 8)
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.layers[0][0][1, 0] == 3.0 and params.layers[0][1][0] == 12.0
+        assert params.layers[1][0][0, 0] == 16.0 and params.layers[1][1][1] == 25.0
+
+    def test_copy_is_independent_of_in_place_updates(self):
+        online = tiny_net([3, 4, 2], 9)
+        target = online.copy()  # what a hard target copy keeps
+        kept = online.flat.copy()
+        state = nn.adam_init(online, step_size=0.1)
+        grads = nn.NetworkParams([(np.ones_like(w), np.ones_like(b)) for w, b in online.layers])
+        online, state = nn.adam_step(online, grads, state)
+        nn.soft_update(online, online.copy(), 0.5)
+        assert not np.array_equal(online.flat, kept)
+        assert np.array_equal(target.flat, kept)
+        assert np.array_equal(target.layers[0][0].ravel(), kept[:12])
 
 
 class TestSnapshot:
