@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensorq import cli
-from sensorq.baselines import ThresholdPolicy
-from sensorq.env import EnvConfig, SensorEnv
+from sensorq import cli, nn
+from sensorq.baselines import GreedyQPolicy, ThresholdPolicy
+from sensorq.env import EnvConfig, SensorEnv, config_from_dict
 from sensorq.experiments import run_episode
 
 PINNED_ON = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
@@ -46,6 +46,10 @@ GOLDEN = {
     "replay/compare.csv": "83924283448191691ff59e78cd3165d482ea3fd539d18737ca586aa676c2acfa",
     "replay/manifest.json": "8cc37a548e62fe2035eefe3658599c5d565c6d512a3e51aeee9f34aaf771e97b",
     "episode/episode.csv": "7384112ed7091e601ca287e0a76459a604f64e99677c45aa72869f1f7627a37c",
+    "interval/curve_seed1.csv": "a9660d7426b1d962e6f0aada38e9033de6af52859acc74c85a5e19cc1400aace",
+    "interval/dqn_seed1.txt": "62ca3f52962ab786f8bdc1c01fde1ebaf2144e34a828d0911a052b7635a8b226",
+    "interval/episode.csv": "2cdfd49c90b6ba3c67c1c89e5e15cdc0fb24eb1b576a7108573f053e8b02d6ae",
+    "interval/manifest.json": "ef328f900fce65730c05e43cb9596dd29d2b2422da225992d0b4b4c871f3d998",
 }
 
 
@@ -67,6 +71,15 @@ SYNTHETIC = {
         "eval_episodes": 3,
         "eta_grid": [0.0, 0.5, 1.0],
     },
+}
+
+# Interval mode: a pending transition spans the epochs a sensor sleeps,
+# and the small battery leaves sensors idle (empty) for part of the episode.
+INTERVAL = {
+    "env": {"sensors": ["temperature", "light"], "epochs": 30, "battery_mj": 12,
+            "action_mode": "interval"},
+    "agent": SYNTHETIC["agent"],
+    "experiment": {"train_episodes": 6},
 }
 
 EPOCHS = 30  # replay episode length in slots
@@ -131,12 +144,18 @@ def test_golden_outputs(tmp_path, monkeypatch):
     _run(["ingest", "--trace", "trace.txt", "--out", "ingest", "--dump"])
     _run(["compare", "--config", "replay.json", "--out", "replay", "--seeds", "1,2,3"])
 
+    Path("interval.json").write_text(json.dumps(INTERVAL))
+    _run(["train", "--config", "interval.json", "--out", "interval", "--seeds", "1"])
+    env = SensorEnv(config_from_dict(INTERVAL["env"]))
+    run_episode(env, GreedyQPolicy(nn.load_network("interval/dqn_seed1.txt")), 5)
+    env.write_episode_csv(Path("interval") / "episode.csv")
+
     env = SensorEnv(EnvConfig(epochs=25, eta=0.4))
     run_episode(env, ThresholdPolicy(0.1, horizon=25), 5)
     Path("episode").mkdir()
     env.write_episode_csv(Path("episode") / "episode.csv")
 
     got = {}
-    for out in ("compare", "reuse", "sweep", "ingest", "replay", "episode"):
+    for out in ("compare", "reuse", "sweep", "ingest", "replay", "episode", "interval"):
         got.update(_hashes(tmp_path / out))
     assert got == GOLDEN
