@@ -7,7 +7,7 @@ redundancy, and trains a Q-network policy against classic baselines.
 
 __version__ = "0.1.0"
 
-from .agent import AgentHyperParams, ReplayPool, Transition, train  # noqa: E402,F401
+from .agent import AgentHyperParams, ReplayPool, train  # noqa: E402,F401
 from .env import EnvConfig, RewardWeights, SensorEnv  # noqa: E402,F401
 from .errors import CheckFailure, ConfigError  # noqa: E402,F401
 from .metrics import EpisodeLog, MetricsReport, SensorLog  # noqa: E402,F401

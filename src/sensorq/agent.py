@@ -12,8 +12,8 @@ The training loop talks to any environment exposing
     decision_mask -> bool array, True where an action is required
     step(actions) -> (rewards, obs, done, truncated)
 
-where rewards may be floats or objects with a .total attribute, and
-`truncated` marks horizon cut-offs that should still bootstrap.
+where rewards is a float64 array of shape (num_sensors,) and `truncated`
+marks horizon cut-offs that should still bootstrap.
 """
 
 from __future__ import annotations
@@ -23,16 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, TrainingDiverged
-
-
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: int
-    r: float
-    s2: np.ndarray
-    done: bool
+from .errors import TrainingDiverged
 
 
 @dataclass
@@ -72,27 +63,21 @@ class ReplayPool:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, t: Transition) -> None:
+    def push(self, s: np.ndarray, a: int, r: float, s2: np.ndarray, done: bool) -> None:
         i = self._head
-        self._s[i] = t.s
-        self._a[i] = t.a
-        self._r[i] = t.r
-        self._s2[i] = t.s2
-        self._done[i] = t.done
+        self._s[i] = s
+        self._a[i] = a
+        self._r[i] = r
+        self._s2[i] = s2
+        self._done[i] = done
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def contents(self) -> list[Transition]:
-        """Oldest-to-newest snapshot (for tests and debugging)."""
-        if self._size < self.capacity:
-            order = range(self._size)
-        else:
-            order = [(self._head + k) % self.capacity for k in range(self.capacity)]
-        return [
-            Transition(self._s[i].copy(), int(self._a[i]), float(self._r[i]),
-                       self._s2[i].copy(), bool(self._done[i]))
-            for i in order
-        ]
+    def contents(self) -> Batch:
+        """Oldest-to-newest copy of the pool (for tests and debugging)."""
+        start = self._head if self._size == self.capacity else 0
+        idx = (start + np.arange(self._size)) % self.capacity
+        return Batch(self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._done[idx])
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch | None:
         if self._size < batch_size:
@@ -182,12 +167,10 @@ class AgentHyperParams:
 
 
 def hypers_from_dict(raw: dict) -> AgentHyperParams:
-    """Build and validate hyperparameters from the `agent` config section."""
-    try:
-        hp = AgentHyperParams(**{k: tuple(v) if k == "hidden" else v for k, v in raw.items()})
-        hp.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad agent config: {exc}") from exc
+    """Build and validate hyperparameters from the `agent` config section;
+    bad values raise TypeError or ValueError."""
+    hp = AgentHyperParams(**{k: tuple(v) if k == "hidden" else v for k, v in raw.items()})
+    hp.validate()
     return hp
 
 
@@ -198,17 +181,14 @@ class TrainResult:
     hypers: AgentHyperParams = field(repr=False, default=None)
 
 
-def _reward_value(r) -> float:
-    return r.total if hasattr(r, "total") else float(r)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResult:
     """Interact, replay, and update until the episode budget is spent.
 
     Per decision the pending (s, a) is closed against the next observation
     the same sensor gets to act on, with rewards accrued in between; in
-    binary mode that reduces to ordinary one-step transitions.
+    binary mode that reduces to ordinary one-step transitions. Each
+    sensor's open decision lives in row i of pend_s/pend_a/pend_r.
 
     The online network is updated in place. A non-finite gradient raises
     TrainingDiverged naming the seed, the episode and the train step;
@@ -225,41 +205,42 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
     action_rng = np.random.default_rng(action_ss)
     replay_rng = np.random.default_rng(replay_ss)
 
+    n = env.num_sensors
+    pend_s = np.zeros((n, env.obs_dim))
+    pend_a = np.zeros(n, dtype=np.int64)
+    pend_r = np.zeros(n)
+    pending = np.zeros(n, dtype=bool)
+
     epsilon = hypers.eps_start
     curve = []
     train_steps = 0
     for episode in range(episodes):
         obs = env.reset(seed * 1_000_003 + episode)
-        pending: list[tuple[np.ndarray, int, float] | None] = [None] * env.num_sensors
+        pending[:] = False
         ep_return = 0.0
         losses = []
         done = False
         while not done:
             mask = env.decision_mask
             q = nn.forward_batch(online, obs)
-            actions: list[int | None] = [None] * env.num_sensors
-            for i in range(env.num_sensors):
+            actions: list[int | None] = [None] * n
+            for i in range(n):
                 if not mask[i]:
                     continue
-                if pending[i] is not None:
-                    s, a, acc = pending[i]
-                    pool.push(Transition(s, a, acc, obs[i], False))
+                if pending[i]:
+                    pool.push(pend_s[i], pend_a[i], pend_r[i], obs[i], False)
                 actions[i] = select_action(q[i], epsilon, action_rng)
-                pending[i] = (obs[i].copy(), actions[i], 0.0)
+                pend_s[i], pend_a[i], pend_r[i], pending[i] = obs[i], actions[i], 0.0, True
             rewards, obs2, done, truncated = env.step(actions)
-            for i in range(env.num_sensors):
-                value = _reward_value(rewards[i])
+            # sensor by sensor, left to right: a pairwise sum would move bits
+            for value in rewards.tolist():
                 ep_return += value
-                if pending[i] is not None:
-                    s, a, acc = pending[i]
-                    pending[i] = (s, a, acc + value)
+            pend_r += rewards  # rows with no open decision are reset when one opens
             if done or truncated:
                 terminal = done and not truncated
-                for i in range(env.num_sensors):
-                    if pending[i] is not None:
-                        s, a, acc = pending[i]
-                        pool.push(Transition(s, a, acc, obs2[i], terminal))
-                        pending[i] = None
+                for i in np.flatnonzero(pending):
+                    pool.push(pend_s[i], pend_a[i], pend_r[i], obs2[i], terminal)
+                pending[:] = False
             obs = obs2
 
             if len(pool) >= max(hypers.warmup, hypers.batch_size):

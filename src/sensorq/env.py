@@ -13,7 +13,9 @@ Reward per sensor and epoch combines three normalized terms:
 where `gain` is how far the zero-order-hold reconstruction had drifted
 from the truth when a sample was taken (capped at 1), `cost` is the
 action's energy relative to the most expensive action, and `duplicate`
-flags a kept sample nearly identical to its predecessor.
+flags a kept sample nearly identical to its predecessor. `step` returns
+the rewards as one float64 array of shape (num_sensors,); the terms
+behind each one are kept only in the episode CSV rows.
 
 Two action modes:
   binary    0 = skip, 1 = sample (default)
@@ -25,7 +27,7 @@ must pass None (or 0 in binary mode) for them, anything else is rejected.
 
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,21 +79,6 @@ class RewardWeights:
 
 
 @dataclass
-class RewardBreakdown:
-    """One sensor's reward terms for one epoch; total recomposes exactly."""
-
-    gain: float
-    cost: float
-    duplicate: float
-    total: float
-
-
-def compose_reward(weights: RewardWeights, gain: float, cost: float, duplicate: float) -> RewardBreakdown:
-    total = weights.info * gain - weights.energy * cost - weights.redundancy * duplicate
-    return RewardBreakdown(gain, cost, duplicate, total)
-
-
-@dataclass
 class ReplayConfig:
     """Trace-driven mode: sensors map to (mote, channel) series.
 
@@ -128,6 +115,12 @@ class EnvConfig:
     replay: ReplayConfig | None = None
 
     def validate(self) -> None:
+        for name in ("epochs", "detection_window"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer")
+        for name in ("idle_cost", "battery_mj", "delta_red", "eta", "noise_beta", "drop_prob"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ConfigError(f"{name} must be a number")
         if self.mode not in ("synthetic", "replay"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "replay":
@@ -149,6 +142,10 @@ class EnvConfig:
             raise ConfigError("initial battery must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError("interference level must lie in [0, 1]")
+        if min(self.noise_beta, self.delta_red, self.detection_window) < 0:
+            raise ConfigError("noise_beta, delta_red and detection_window must be non-negative")
+        if not 0.0 <= self.drop_prob <= 1.0:
+            raise ConfigError("drop_prob must lie in [0, 1]")
         if self.action_mode not in ("binary", "interval"):
             raise ConfigError(f"unknown action mode {self.action_mode!r}")
         self.weights.validate()
@@ -168,7 +165,10 @@ class EnvConfig:
 
 
 def config_from_dict(raw: dict) -> EnvConfig:
-    """Build an EnvConfig from the documented JSON schema (env section)."""
+    """Build an EnvConfig from the documented JSON schema (env section).
+
+    Malformed nested values raise TypeError or ValueError, which
+    experiments.spec_from_file turns into a ConfigError."""
     known = dict(raw)
     cfg = EnvConfig()
     if "weights" in known:
@@ -177,10 +177,7 @@ def config_from_dict(raw: dict) -> EnvConfig:
             float(w.get("info", 0.6)), float(w.get("energy", 0.2)), float(w.get("redundancy", 0.2))
         ))
     if "signal" in known:
-        try:
-            cfg = replace(cfg, signal=SignalParams(**known.pop("signal")))
-        except TypeError as exc:
-            raise ConfigError(f"bad signal config: {exc}") from exc
+        cfg = replace(cfg, signal=SignalParams(**known.pop("signal")))
     if "ranges" in known:
         r = known.pop("ranges")
         cfg = replace(cfg, ranges={k: (float(lo), float(hi)) for k, (lo, hi) in r.items()})
@@ -201,16 +198,6 @@ def config_from_dict(raw: dict) -> EnvConfig:
         cfg = replace(cfg, **{key: value})
     cfg.validate()
     return cfg
-
-
-def config_from_file(path) -> EnvConfig:
-    """Load the `env` section of a JSON config file."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw.get("env", raw))
 
 
 def load_replay_trace(config: EnvConfig) -> dict | None:
@@ -351,7 +338,9 @@ class SensorEnv:
 
     # -- dynamics ----------------------------------------------------------
 
-    def step(self, actions) -> tuple[list[RewardBreakdown], np.ndarray, bool, bool]:
+    def step(self, actions) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+        """Apply one action per sensor; returns (rewards, obs, done, truncated)
+        with rewards a float64 array of shape (num_sensors,)."""
         if self._epoch < 0 or self._done:
             raise ValueError("reset() the environment before stepping")
         if len(actions) != self.num_sensors:
@@ -379,17 +368,23 @@ class SensorEnv:
                 rewards.append(self._apply_sample(i, kind, e, c_max))
         self._epoch = e + 1
         self._done = self._epoch == cfg.epochs
-        return rewards, self._observations(), self._done, False
+        return np.array(rewards), self._observations(), self._done, False
 
-    def _apply_skip(self, i: int, e: int, c_max: float, forced: bool) -> RewardBreakdown:
+    def _record(self, e, i, label, truth, kept, gain, cost, duplicate) -> float:
+        """Reward of one sensor's epoch; logs its terms for the episode CSV."""
+        w = self.config.weights
+        total = w.info * gain - w.energy * cost - w.redundancy * duplicate
+        self._rows.append((e, i, label, truth, kept, gain, cost, duplicate, total))
+        return total
+
+    def _apply_skip(self, i: int, e: int, c_max: float, forced: bool) -> float:
         drawn = min(self._battery[i], self.config.idle_cost)
         self._battery[i] -= drawn
         self._ledger[i, e] = drawn
-        rb = compose_reward(self.config.weights, 0.0, self.config.idle_cost / c_max, 0.0)
-        self._rows.append((e, i, "skip" if not forced else "idle", self._truth[i][e], None, rb))
-        return rb
+        cost = self.config.idle_cost / c_max
+        return self._record(e, i, "idle" if forced else "skip", self._truth[i][e], None, 0.0, cost, 0.0)
 
-    def _apply_sample(self, i: int, kind: str, e: int, c_max: float) -> RewardBreakdown:
+    def _apply_sample(self, i: int, kind: str, e: int, c_max: float) -> float:
         cfg = self.config
         cost = cfg.sample_costs[kind]
         drawn = min(self._battery[i], cost)
@@ -416,9 +411,7 @@ class SensorEnv:
             self._last_value[i] = float(measured)
             self._last_epoch[i] = e
             kept_value = float(measured)
-        rb = compose_reward(cfg.weights, gain, cost / c_max, duplicate)
-        self._rows.append((e, i, "sample", truth, kept_value, rb))
-        return rb
+        return self._record(e, i, "sample", truth, kept_value, gain, cost / c_max, duplicate)
 
     # -- episode artifacts ---------------------------------------------------
 
@@ -450,10 +443,9 @@ class SensorEnv:
                 ["epoch", "sensor", "action", "true_value", "kept_value",
                  "gain", "cost", "duplicate", "reward"]
             )
-            for e, i, label, truth, kept, rb in self._rows:
+            for e, i, label, truth, kept, *terms in self._rows:
                 writer.writerow(
                     [e, i, label, metrics.fmt(truth),
                      "" if kept is None else metrics.fmt(kept),
-                     metrics.fmt(rb.gain), metrics.fmt(rb.cost),
-                     metrics.fmt(rb.duplicate), metrics.fmt(rb.total)]
+                     *(metrics.fmt(x) for x in terms)]
                 )

@@ -71,10 +71,16 @@ class ExperimentSpec:
                 raise ConfigError("eta values must lie in [0, 1]")
         if self.train_episodes < 0 or self.eval_episodes < 1:
             raise ConfigError("bad episode counts")
+        for text in self.policies:  # fail before any training
+            if text != "dqn":
+                make_baseline(text, self.env.epochs)
 
 
 def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
-    """Build a spec from the documented JSON schema (env/agent/experiment)."""
+    """Build a spec from the documented JSON schema (env/agent/experiment).
+
+    The one place config values enter: any value of the wrong type or out
+    of range ends here as a ConfigError rather than mid-run."""
     from .agent import hypers_from_dict
     from .env import config_from_dict
 
@@ -83,21 +89,28 @@ def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    exp = raw.get("experiment", {})
-    spec = ExperimentSpec(
-        env=config_from_dict(raw.get("env", {})),
-        hypers=hypers_from_dict(raw.get("agent", {})),
-        out_dir=Path(out_dir),
-        policies=list(exp.get("policies", DEFAULT_POLICIES)),
-        weight_triples=[tuple(t) for t in exp.get("weight_triples", DEFAULT_TRIPLES)],
-        eta_grid=[float(e) for e in exp.get("eta_grid", DEFAULT_ETA_GRID)],
-        train_episodes=int(exp.get("train_episodes", 300)),
-        eval_episodes=int(exp.get("eval_episodes", 20)),
-    )
-    if seeds is not None:
-        spec.seeds = list(seeds)
-    elif "seeds" in exp:
-        spec.seeds = [int(s) for s in exp["seeds"]]
+    try:
+        exp = raw.get("experiment", {})
+        spec = ExperimentSpec(
+            env=config_from_dict(raw.get("env", {})),
+            hypers=hypers_from_dict(raw.get("agent", {})),
+            out_dir=Path(out_dir),
+            policies=[str(p) for p in exp.get("policies", DEFAULT_POLICIES)],
+            weight_triples=[tuple(t) for t in exp.get("weight_triples", DEFAULT_TRIPLES)],
+            eta_grid=[float(e) for e in exp.get("eta_grid", DEFAULT_ETA_GRID)],
+            train_episodes=int(exp.get("train_episodes", 300)),
+            eval_episodes=int(exp.get("eval_episodes", 20)),
+        )
+        for triple in spec.weight_triples:
+            if len(triple) != 3:
+                raise ConfigError(f"weight triple {list(triple)} needs three weights")
+            RewardWeights(*triple).validate()
+        if seeds is not None:
+            spec.seeds = list(seeds)
+        elif "seeds" in exp:
+            spec.seeds = [int(s) for s in exp["seeds"]]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config: {exc}") from exc
     return spec
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from sensorq.agent import (
     AgentHyperParams,
     Batch,
     ReplayPool,
-    Transition,
     bellman_target,
     decay_epsilon,
     select_action,
@@ -19,9 +20,9 @@ from toy_mdp import GAMMA, OPTIMAL, Q_STAR, ToyMdpEnv
 
 
 def make_transition(obs_dim, rng, done=False):
-    return Transition(
-        rng.normal(size=obs_dim), int(rng.integers(2)), float(rng.normal()),
-        rng.normal(size=obs_dim), done,
+    return SimpleNamespace(
+        s=rng.normal(size=obs_dim), a=int(rng.integers(2)), r=float(rng.normal()),
+        s2=rng.normal(size=obs_dim), done=done,
     )
 
 
@@ -218,29 +219,29 @@ class TestReplayPool:
         pool = ReplayPool(2, 1)
         rng = np.random.default_rng(0)
         for r in (1.0, 2.0, 3.0):
-            pool.push(Transition(np.zeros(1), 0, r, np.zeros(1), False))
+            pool.push(np.zeros(1), 0, r, np.zeros(1), False)
         assert len(pool) == 2
-        assert [t.r for t in pool.contents()] == [2.0, 3.0]
+        assert pool.contents().r.tolist() == [2.0, 3.0]
 
     def test_sample_returns_requested_count_from_pool(self):
         pool = ReplayPool(16, 2)
         rng = np.random.default_rng(1)
         for r in range(8):
-            pool.push(Transition(np.full(2, r), r % 2, float(r), np.zeros(2), False))
+            pool.push(np.full(2, r), r % 2, float(r), np.zeros(2), False)
         batch = pool.sample(5, rng)
         assert len(batch) == 5
         assert all(0 <= r <= 7 for r in batch.r)
 
     def test_undersized_pool_not_ready(self):
         pool = ReplayPool(8, 1)
-        pool.push(Transition(np.zeros(1), 0, 0.0, np.zeros(1), False))
+        pool.push(np.zeros(1), 0, 0.0, np.zeros(1), False)
         assert pool.sample(2, np.random.default_rng(0)) is None
 
     def test_sampling_is_uniform(self):
         pool = ReplayPool(4, 1)
         rng = np.random.default_rng(2)
         for r in range(4):
-            pool.push(Transition(np.zeros(1), 0, float(r), np.zeros(1), False))
+            pool.push(np.zeros(1), 0, float(r), np.zeros(1), False)
         counts = np.zeros(4)
         for _ in range(100_000):
             counts[int(pool.sample(1, rng).r[0])] += 1
@@ -250,9 +251,9 @@ class TestReplayPool:
     def test_never_exceeds_capacity_and_keeps_newest(self):
         pool = ReplayPool(5, 1)
         for r in range(12):
-            pool.push(Transition(np.zeros(1), 0, float(r), np.zeros(1), False))
+            pool.push(np.zeros(1), 0, float(r), np.zeros(1), False)
         assert len(pool) == 5
-        assert [t.r for t in pool.contents()] == [7.0, 8.0, 9.0, 10.0, 11.0]
+        assert pool.contents().r.tolist() == [7.0, 8.0, 9.0, 10.0, 11.0]
 
 
 def toy_hypers(**overrides):
@@ -318,9 +319,9 @@ class TestTrain:
         pushed = []
 
         class RecordingPool(ReplayPool):
-            def push(self, t):
-                pushed.append(t.r)
-                super().push(t)
+            def push(self, s, a, r, s2, done):
+                pushed.append(r)
+                super().push(s, a, r, s2, done)
 
         monkeypatch.setattr(agent_mod, "ReplayPool", RecordingPool)
         cfg = EnvConfig(sensors=["temperature", "voltage"], epochs=12, action_mode="interval")

@@ -13,7 +13,6 @@ from sensorq.env import (
     EnvConfig,
     RewardWeights,
     SensorEnv,
-    compose_reward,
     config_from_dict,
 )
 from sensorq.errors import ConfigError
@@ -29,6 +28,11 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return EnvConfig(**base)
+
+
+def last_terms(env):
+    """(gain, cost, duplicate) of each sensor in the last step, from the CSV rows."""
+    return [row[5:8] for row in env._rows[-env.num_sensors:]]
 
 
 class TestReset:
@@ -59,11 +63,12 @@ class TestStep:
         env.reset(0)
         rewards, obs, done, truncated = env.step([SKIP, SKIP])
         assert not done and not truncated
+        assert rewards.dtype == np.float64 and rewards.shape == (2,)
         assert env._samples == [[], []]
         np.testing.assert_allclose(env._battery, cfg.battery_mj - cfg.idle_cost)
-        for rb in rewards:
-            assert rb.gain == 0.0 and rb.duplicate == 0.0
-            assert rb.cost == cfg.idle_cost / cfg.max_action_cost
+        for gain, cost, duplicate in last_terms(env):
+            assert gain == 0.0 and duplicate == 0.0
+            assert cost == cfg.idle_cost / cfg.max_action_cost
 
     def test_battery_boundary_sample_records_and_hits_zero(self):
         cfg = small_config(sensors=["temperature"], battery_mj=1.0)  # cost exactly 1.0
@@ -147,12 +152,8 @@ class TestReward:
         env = SensorEnv(cfg)
         env.reset(0)
         rewards, *_ = env.step([SKIP, SKIP])
-        for rb in rewards:
-            assert rb.total == -0.7 * rb.cost
-
-    def test_half_range_deviation_scores_half(self):
-        rb = compose_reward(RewardWeights(1.0, 0.0, 0.0), 0.5, 0.3, 1.0)
-        assert rb.total == 0.5
+        for r, (_, cost, _) in zip(rewards, last_terms(env)):
+            assert r == -0.7 * cost
 
     def test_duplicate_sample_penalty(self):
         # constant signal: second sample deviates by 0 < delta_red * span
@@ -165,15 +166,15 @@ class TestReward:
         env.reset(0)
         env.step([SAMPLE])
         rewards, *_ = env.step([SAMPLE])
-        rb = rewards[0]
-        assert rb.gain == 0.0 and rb.duplicate == 1.0
-        assert rb.total == -0.5 * rb.cost - 0.25
+        [(gain, cost, duplicate)] = last_terms(env)
+        assert gain == 0.0 and duplicate == 1.0
+        assert rewards[0] == -0.5 * cost - 0.25
 
     def test_first_sample_gain_is_maximal(self):
         env = SensorEnv(small_config())
         env.reset(2)
-        rewards, *_ = env.step([SAMPLE, SKIP])
-        assert rewards[0].gain == 1.0
+        env.step([SAMPLE, SKIP])
+        assert last_terms(env)[0][0] == 1.0
 
     def test_recomposition_is_exact(self):
         cfg = small_config(epochs=15, weights=RewardWeights(0.37, 0.41, 0.22))
@@ -184,8 +185,9 @@ class TestReward:
         while not done:
             acts = [int(rng.integers(2)) if m else SKIP for m in env.decision_mask]
             rewards, _, done, _ = env.step(acts)
-            for rb in rewards:
-                assert rb.total == 0.37 * rb.gain - 0.41 * rb.cost - 0.22 * rb.duplicate
+            for r, (gain, cost, duplicate) in zip(rewards.tolist(), last_terms(env)):
+                assert r == 0.37 * gain - 0.41 * cost - 0.22 * duplicate
+            assert [row[8] for row in env._rows[-2:]] == rewards.tolist()
 
     def test_reward_scales_linearly_with_weights(self):
         script_rng = np.random.default_rng(2)
@@ -198,7 +200,7 @@ class TestReward:
             acc = []
             for acts in script:
                 rewards, _, done, _ = env.step(acts)
-                acc.extend(rb.total for rb in rewards)
+                acc.extend(rewards.tolist())
                 if done:
                     break
             totals[scale] = np.array(acc)

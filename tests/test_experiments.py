@@ -364,8 +364,17 @@ class TestCli:
             {"agent": {"learning_rate": 0.01}},
             {"env": {"signal": {"period": 1}}},
             {"agent": {"batch_size": 0}},
+            {"experiment": {"train_episodes": "x"}},
+            {"env": {"weights": {"info": "a"}}},
+            {"env": {"epochs": "abc"}},
+            {"env": {"noise_beta": -1, "eta": 0.5}},
+            {"experiment": {"weight_triples": [[0.4, 0.2, 0.2, 0.2], [0.6, 0.2, 0.2]]}},
+            {"env": {"drop_prob": -3}},
+            {"env": {"detection_window": -5}},
         ],
-        ids=["unknown-agent-key", "signal-period-1", "batch-size-0"],
+        ids=["unknown-agent-key", "signal-period-1", "batch-size-0", "train-episodes-str",
+             "weight-str", "epochs-str", "noise-beta-negative", "four-weights",
+             "drop-prob-negative", "detection-window-negative"],
     )
     def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, raw):
         path = tmp_path / "config.json"
@@ -374,6 +383,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["compare", "sweep-interference"])
+    def test_bad_policy_fails_before_training(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        raw = dict(CONFIG_JSON)
+        raw["experiment"] = dict(raw["experiment"], policies=["dqn", "bogus(1)"])
+        path.write_text(json.dumps(raw))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        code = cli.main(argv + (["--train"] if command == "compare" else []))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "configuration error: cannot parse policy 'bogus(1)'\n"
+        assert not list(tmp_path.rglob("dqn_seed*.txt")) and not list(tmp_path.rglob("curve_*"))
 
     @pytest.mark.filterwarnings("error")  # overflow warnings would print more lines
     def test_divergence_is_one_line_exit_1(self, tmp_path, capsys):

@@ -55,4 +55,4 @@ class ToyMdpEnv:
         self._state = nxt
         self._steps += 1
         truncated = not terminal and self._steps >= self.horizon
-        return [reward], self._obs(), terminal, truncated
+        return np.array([reward]), self._obs(), terminal, truncated
