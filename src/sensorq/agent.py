@@ -216,7 +216,6 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
     train_steps = 0
     for episode in range(episodes):
         obs = env.reset(seed * 1_000_003 + episode)
-        pending[:] = False
         ep_return = 0.0
         losses = []
         done = False
@@ -240,7 +239,7 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
                 terminal = done and not truncated
                 for i in np.flatnonzero(pending):
                     pool.push(pend_s[i], pend_a[i], pend_r[i], obs2[i], terminal)
-                pending[:] = False
+                pending[:] = False  # the episode ends here: none stays open
             obs = obs2
 
             if len(pool) >= max(hypers.warmup, hypers.batch_size):

@@ -185,7 +185,7 @@ def config_from_dict(raw: dict) -> EnvConfig:
         r = known.pop("replay")
         end = r.get("end_slot")
         cfg = replace(cfg, replay=ReplayConfig(
-            sensors=[(int(m), str(k)) for m, k in r["sensors"]],
+            sensors=[(int(m), str(k)) for m, k in r.get("sensors", [])],
             path=r.get("path"),
             delta_t=float(r.get("delta_t", 60.0)),
             min_presence=float(r.get("min_presence", 0.5)),

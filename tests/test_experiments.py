@@ -371,10 +371,11 @@ class TestCli:
             {"experiment": {"weight_triples": [[0.4, 0.2, 0.2, 0.2], [0.6, 0.2, 0.2]]}},
             {"env": {"drop_prob": -3}},
             {"env": {"detection_window": -5}},
+            {"env": {"mode": "replay", "replay": {"path": "trace.txt"}}},
         ],
         ids=["unknown-agent-key", "signal-period-1", "batch-size-0", "train-episodes-str",
              "weight-str", "epochs-str", "noise-beta-negative", "four-weights",
-             "drop-prob-negative", "detection-window-negative"],
+             "drop-prob-negative", "detection-window-negative", "replay-without-sensors"],
     )
     def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, raw):
         path = tmp_path / "config.json"
