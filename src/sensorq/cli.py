@@ -49,9 +49,9 @@ def _plotdata(args, spec, stem: str) -> None:
 
 
 def cmd_ingest(args) -> int:
+    series, report = ingest.load_trace(args.trace, delta_t=args.delta_t)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    series, report = ingest.load_trace(args.trace, delta_t=args.delta_t)
     ingest.write_report_csv(report, out / "ingest_report.csv")
     if args.dump:
         ingest.write_aligned_csv(series, out / "aligned.csv")
@@ -64,6 +64,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     spec = _load_spec(args)
+    spec.validate("train")
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seed in spec.seeds:

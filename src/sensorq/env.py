@@ -27,6 +27,7 @@ must pass None (or 0 in binary mode) for them, anything else is rejected.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -126,6 +127,9 @@ class EnvConfig:
         if self.mode == "replay":
             if self.replay is None or not self.replay.sensors:
                 raise ConfigError("replay mode needs a replay section with sensors")
+            dt = self.replay.delta_t
+            if not (isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0):
+                raise ConfigError("replay delta_t must be a finite number > 0")
             kinds = [k for _, k in self.replay.sensors]
         else:
             kinds = list(self.sensors)

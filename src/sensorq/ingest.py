@@ -6,10 +6,16 @@ fields in this order:
     date  time  epoch  mote_id  temperature  humidity  light  voltage
     (YYYY-MM-DD, HH:MM:SS[.ffffff], int, int, degC, %RH, lux, V)
 
+Files are read as UTF-8; a byte that does not decode becomes U+FFFD and
+spoils only its own line. Date and time take exactly the forms
+datetime.strptime accepts for "%Y-%m-%d %H:%M:%S[.%f]" (4-digit year, 1-2
+digit month, day, hour, minute and second, 1-6 digit fraction) and are read
+as UTC, so the result does not depend on the machine's timezone; an
+impossible date or clock (Feb 30, second 60) skips.
+
 Lines that cannot be parsed are skipped, never fatal; each skip carries
-a reason code so ingestion is auditable. Dates and times are read as UTC,
-so the result does not depend on the machine's timezone. Kept readings are
-bucketed onto a regular grid of width delta_t seconds starting at the
+a reason code so ingestion is auditable. Kept readings are bucketed onto a
+regular grid of width delta_t seconds (finite and > 0) starting at the
 earliest kept timestamp (slot = floor((t - t0) / delta_t)); when two
 readings land in one slot the later one wins.
 """
@@ -18,6 +24,8 @@ from __future__ import annotations
 
 import calendar
 import csv
+import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -40,6 +48,15 @@ R_FIELDS = "wrong_field_count"
 R_NUMBER = "unparseable_value"
 R_RANGE = "plausibility"
 
+# strptime's own pattern (_strptime.TimeRE) for "%Y-%m-%d %H:%M:%S" with an
+# optional ".%f"; `\d` is Unicode, as there, and int() reads what it matches
+_STAMP = re.compile(
+    r"(?P<Y>\d\d\d\d)-(?P<m>1[0-2]|0[1-9]|[1-9])-(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+    r"\s+(?P<H>2[0-3]|[0-1]\d|\d):(?P<M>[0-5]\d|\d):(?P<S>6[0-1]|[0-5]\d|\d)"
+    r"(?:\.(?P<f>[0-9]{1,6}))?",
+    re.IGNORECASE,
+)
+
 
 @dataclass
 class SensorReading:
@@ -52,9 +69,6 @@ class SensorReading:
     light: float
     voltage: float
     timestamp: float  # seconds since the Unix epoch (fractional), date and time read as UTC
-
-    def channel(self, name: str) -> float:
-        return getattr(self, name)
 
 
 @dataclass
@@ -103,13 +117,17 @@ def parse_line(line: str) -> SensorReading | ParseSkip:
         channels = [float(v) for v in fields[4:8]]
     except ValueError:
         return ParseSkip(R_NUMBER)
-    if any(not np.isfinite(v) for v in channels):
+    if not all(map(math.isfinite, channels)):
         return ParseSkip(R_NUMBER)
     if mote < 1 or epoch < 0:
         return ParseSkip(R_RANGE)
-    fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in fields[1] else "%Y-%m-%d %H:%M:%S"
-    try:
-        when = datetime.strptime(f"{fields[0]} {fields[1]}", fmt)
+    match = _STAMP.fullmatch(f"{fields[0]} {fields[1]}")
+    if match is None:
+        return ParseSkip(R_NUMBER)
+    year, month, day, hour, minute, second, frac = match.groups()
+    try:  # datetime rejects what the pattern lets through: Feb 30, second 60, year 0
+        when = datetime(int(year), int(month), int(day), int(hour), int(minute), int(second),
+                        int(frac.ljust(6, "0")) if frac else 0)
     except ValueError:
         return ParseSkip(R_NUMBER)
     stamp = calendar.timegm(when.timetuple()) + when.microsecond / 1e6
@@ -119,20 +137,26 @@ def parse_line(line: str) -> SensorReading | ParseSkip:
 def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], IngestReport]:
     """Parse a trace file into per-mote aligned series plus a skip report.
 
-    Raises OSError when the file cannot be read and ConfigError when no
-    reading survives cleaning.
+    Raises OSError when the file cannot be read and ConfigError when
+    delta_t is not a finite number > 0 or no reading survives cleaning.
     """
+    if not (math.isfinite(delta_t) and delta_t > 0):
+        raise ConfigError(f"delta_t must be a finite number > 0, got {delta_t!r}")
+    (t_lo, t_hi), (h_lo, h_hi), (l_lo, l_hi), (v_lo, v_hi) = (PLAUSIBLE[ch] for ch in CHANNELS)
     report = IngestReport()
     readings: list[SensorReading] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             report.total += 1
             parsed = parse_line(line)
             if isinstance(parsed, ParseSkip):
                 report.skip(parsed.reason)
                 continue
-            if any(
-                not PLAUSIBLE[ch][0] <= parsed.channel(ch) <= PLAUSIBLE[ch][1] for ch in CHANNELS
+            if not (
+                t_lo <= parsed.temperature <= t_hi
+                and h_lo <= parsed.humidity <= h_hi
+                and l_lo <= parsed.light <= l_hi
+                and v_lo <= parsed.voltage <= v_hi
             ):
                 report.skip(R_RANGE)
                 continue
@@ -164,7 +188,7 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
         for slot, (_, reading) in grids[mote].items():
             present[slot] = True
             for ch in CHANNELS:
-                values[ch][slot] = reading.channel(ch)
+                values[ch][slot] = getattr(reading, ch)
         stats = {
             ch: (float(np.nanmin(values[ch])), float(np.nanmax(values[ch]))) for ch in CHANNELS
         }

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -130,9 +131,10 @@ def detect_events(values: np.ndarray, window: int = 20, k: float = 3.0) -> list[
     if values.ndim != 1 or window < 2:
         raise ValueError("need a 1-d series and window >= 2")
     diffs = np.diff(values)
-    events = []
-    for t in range(window, len(diffs)):
-        sigma = float(np.std(diffs[t - window : t]))
-        if sigma > 0 and abs(diffs[t]) > k * sigma:
-            events.append(t + 1)  # diffs[t] is the change into epoch t+1
-    return events
+    if len(diffs) <= window:
+        return []
+    # row r is diffs[r : r + window], the window before diffs[window + r]; a
+    # contiguous copy makes each row's std reduce exactly as np.std of a slice
+    sigma = np.ascontiguousarray(sliding_window_view(diffs[:-1], window)).std(axis=1)
+    hit = (sigma > 0) & (np.abs(diffs[window:]) > k * sigma)
+    return (np.flatnonzero(hit) + window + 1).tolist()  # diffs[t] is the change into epoch t+1

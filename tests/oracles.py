@@ -7,7 +7,9 @@ optimized implementations.
 
 from __future__ import annotations
 
+import calendar
 import math
+from datetime import datetime
 
 import numpy as np
 
@@ -159,3 +161,32 @@ def value_iteration(n_states, n_actions, step_fn, gamma, sweeps=10_000, tol=1e-1
         if delta < tol:
             break
     return q
+
+
+def strptime_timestamp(date, time):
+    """UTC seconds of a trace line's date and time fields through
+    datetime.strptime, or None where strptime rejects them."""
+    fmt = "%Y-%m-%d %H:%M:%S.%f" if "." in time else "%Y-%m-%d %H:%M:%S"
+    try:
+        when = datetime.strptime(f"{date} {time}", fmt)
+    except ValueError:
+        return None
+    return calendar.timegm(when.timetuple()) + when.microsecond / 1e6
+
+
+def rolling_std_events(values, window, k):
+    """Epochs whose delta exceeds k times the np.std of the `window`
+    deltas before it, one window at a time."""
+    diffs = np.diff(np.asarray(values, dtype=np.float64))
+    events = []
+    for t in range(window, len(diffs)):
+        sigma = float(np.std(diffs[t - window : t]))
+        if sigma > 0 and abs(diffs[t]) > k * sigma:
+            events.append(t + 1)
+    return events
+
+
+def rolling_std(values, window):
+    """np.std of each `window` deltas before delta t, for t = window .. n-2."""
+    diffs = np.diff(np.asarray(values, dtype=np.float64))
+    return [float(np.std(diffs[t - window : t])) for t in range(window, len(diffs))]

@@ -385,6 +385,59 @@ class TestCli:
         assert code == 1
         assert err.startswith("configuration error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "experiment, message",
+        [({"train_episodes": -5}, "bad episode counts"), ({"seeds": []}, "need at least one seed")],
+        ids=["negative-episodes", "no-seeds"],
+    )
+    def test_train_validates_spec_first(self, tmp_path, capsys, experiment, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CONFIG_JSON, experiment=experiment)))
+        out = tmp_path / "out"
+        code = cli.main(["train", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_ingest_undecodable_byte_is_a_skip(self, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_bytes(
+            b"2004-03-01 00:00:00.0 0 1 20.0 40.0 100.0 2.7\n"
+            b"2004-03-01 00:01:00.0 1 1 \xff21.0 40.0 100.0 2.7\n"
+        )
+        code = cli.main(["ingest", "--trace", str(trace), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "kept 1, skipped 1" in capsys.readouterr().out
+        report = (tmp_path / "out" / "ingest_report.csv").read_bytes()
+        assert report == b"reason,count\r\nkept,1\r\nunparseable_value,1\r\n"
+
+    @pytest.mark.parametrize("delta_t", ["0", "nan", "-60", "inf"])
+    def test_ingest_bad_delta_t_is_one_line_exit_1(self, tmp_path, capsys, delta_t):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("2004-03-01 00:00:00.0 0 1 20.0 40.0 100.0 2.7\n")
+        out = tmp_path / "out"
+        code = cli.main(["ingest", "--trace", str(trace), "--out", str(out),
+                         f"--delta-t={delta_t}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: delta_t must be") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta_t", [0, -60, "NaN"])
+    def test_replay_bad_delta_t_is_one_line_exit_1(self, tmp_path, capsys, delta_t):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("2004-03-01 00:00:00.0 0 1 20.0 40.0 100.0 2.7\n")
+        replay = {"path": str(trace), "sensors": [[1, "temperature"]], "delta_t": delta_t}
+        raw = {"env": {"epochs": 12, "mode": "replay", "replay": replay},
+               "experiment": {"policies": ["fixed(1)"], "eval_episodes": 2}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "configuration error: replay delta_t must be a finite number > 0\n"
+        )
+
     @pytest.mark.parametrize("command", ["compare", "sweep-interference"])
     def test_bad_policy_fails_before_training(self, tmp_path, capsys, command):
         path = tmp_path / "config.json"

@@ -2,7 +2,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import strptime_timestamp
 from sensorq import ingest
 from sensorq.errors import ConfigError
 from sensorq.ingest import (
@@ -71,6 +74,64 @@ class TestParseLine:
     def test_bad_clock_skips_on_number(self):
         r = parse_line("2004-03-01 25:61:00.0 2 1 19.9 37.0 45.0 2.69")
         assert isinstance(r, ParseSkip) and r.reason == ingest.R_NUMBER
+
+    @pytest.mark.parametrize(
+        "date, time",
+        [
+            ("2004-3-1", "1:2:3"),  # 1-digit fields
+            ("2004-03-01", "12:00:60"),  # strptime's pattern allows 60, datetime does not
+            ("2004-03-01", "12:00:61.5"),
+            ("2004-02-30", "12:00:00"),
+            ("2004-02-29", "23:59:59.999999"),
+            ("2003-02-29", "00:00:00"),
+            ("0000-01-01", "00:00:00"),
+            ("2004-03-01", "00:00:00.1234567"),  # 7-digit fraction
+            ("2004-03-01", "00:00:00.5"),
+            ("2004-03-01", "00:00:00."),  # trailing dot
+            ("2004-03-01", "25:61:00.000000"),
+            ("2004-03-01", "24:00:00"),
+            ("2004-13-01", "00:00:00"),
+            ("04-03-01", "00:00:00"),
+            ("2004-03-01T00", "00:00:00"),
+            ("\uff12\uff10\uff10\uff14-03-01", "10:00:0\uff15"),  # full-width digits
+            ("2004-\uff10\uff13-01", "10:00:00"),  # ...not where the pattern says [0-9]
+            ("2004-03-01", "10:00:00.\uff15"),
+        ],
+    )
+    def test_timestamp_edges_match_strptime(self, date, time):
+        r = parse_line(f"{date} {time} 2 1 19.9 37.0 45.0 2.69")
+        expected = strptime_timestamp(date, time)
+        if expected is None:
+            assert isinstance(r, ParseSkip) and r.reason == ingest.R_NUMBER
+        else:
+            assert isinstance(r, SensorReading) and r.timestamp == expected
+
+    @given(
+        date=st.one_of(
+            st.from_regex(r"[0-9]{1,5}-[0-9]{1,3}-[0-9]{1,3}", fullmatch=True),
+            st.from_regex(r"\d{4}-\d{1,2}-\d{1,2}", fullmatch=True),
+            st.text(min_size=1),
+        ),
+        time=st.one_of(
+            st.from_regex(r"[0-9]{1,3}:[0-9]{1,3}:[0-9]{1,3}(\.[0-9]{0,8})?", fullmatch=True),
+            st.from_regex(r"\d{1,2}:\d{1,2}:\d{1,2}(\.\d{1,6})?", fullmatch=True),
+            st.text(min_size=1),
+        ),
+    )
+    def test_timestamp_matches_strptime_or_both_skip(self, date, time):
+        r = parse_line(f"{date} {time} 2 1 19.9 37.0 45.0 2.69")
+        if [date, time] != f"{date} {time}".split():  # whitespace changes the field count
+            assert isinstance(r, ParseSkip)
+            return
+        expected = strptime_timestamp(date, time)
+        if expected is None:
+            assert isinstance(r, ParseSkip) and r.reason == ingest.R_NUMBER
+        else:
+            assert isinstance(r, SensorReading) and r.timestamp == expected
+
+    @given(st.text())
+    def test_never_raises(self, line):
+        assert isinstance(parse_line(line), (SensorReading, ParseSkip))
 
 
 class TestLoadTrace:
@@ -167,6 +228,21 @@ class TestLoadTrace:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load_trace(tmp_path / "nope.txt")
+
+    def test_undecodable_byte_skips_its_line(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(
+            b"2004-03-01 00:00:00.0 0 1 20.0 40.0 100.0 2.7\n"
+            b"2004-03-01 00:01:00.0 1 1 2\xff.0 40.0 100.0 2.7\n"
+        )
+        _, report = load_trace(path)
+        assert report.total == 2 and report.kept == 1
+        assert report.skipped == {ingest.R_NUMBER: 1}
+
+    @pytest.mark.parametrize("delta_t", [0.0, -60.0, float("nan"), float("inf")])
+    def test_bad_delta_t_is_config_error(self, tmp_path, delta_t):
+        with pytest.raises(ConfigError, match="delta_t"):
+            load_trace(write_trace(tmp_path, [GOOD]), delta_t=delta_t)
 
 
 class TestGapFill:

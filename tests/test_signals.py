@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import rolling_std, rolling_std_events
 from sensorq import signals
 from sensorq.signals import SignalParams, detect_events, inject_interference, synth_track
 
@@ -111,3 +112,49 @@ class TestDetectEvents:
         series[21] = series[20] + 10.0
         events = detect_events(series, window=20, k=3.0)
         assert events == [21]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_window_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n = int(rng.integers(0, 120))
+            window = int(rng.integers(2, 40))  # often longer than the series
+            k = float(rng.uniform(0.5, 5.0))
+            shape = seed % 3
+            if shape == 0:
+                series = np.cumsum(rng.normal(size=n))
+            elif shape == 1:  # few distinct deltas: many zero and tied windows
+                series = np.round(rng.normal(size=n) * 2.0) / 7.0
+            else:
+                series = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+            series[rng.random(n) < 0.05] += 8.0
+            assert detect_events(series, window, k) == rolling_std_events(series, window, k)
+
+    def test_rolling_std_is_bit_equal(self):
+        # k at the exact ratio |delta| / sigma of each window puts every
+        # comparison on the last bit of the oracle's sigma
+        rng = np.random.default_rng(11)
+        series = np.cumsum(rng.normal(size=150))
+        diffs = np.diff(series)
+        for window in (2, 5, 20):
+            for t, sigma in zip(range(window, len(diffs)), rolling_std(series, window)):
+                k = abs(diffs[t]) / sigma
+                assert detect_events(series, window, k) == rolling_std_events(series, window, k)
+
+    def test_series_shorter_than_window(self):
+        for n in range(0, 23):
+            series = np.arange(n, dtype=float) ** 2
+            assert detect_events(series, window=20) == rolling_std_events(series, 20, 3.0)
+        assert detect_events(np.arange(21.0) ** 2, window=20) == []
+
+    def test_constant_series_has_no_events(self):
+        series = np.full(50, 3.5)
+        assert detect_events(series, window=5) == [] == rolling_std_events(series, 5, 3.0)
+
+    def test_returns_python_ints(self):
+        series = np.zeros(40)
+        series[30:] = 100.0
+        series[::2] += 0.01
+        events = detect_events(series, window=10)
+        assert events == rolling_std_events(series, 10, 3.0) and events
+        assert all(type(e) is int for e in events)
