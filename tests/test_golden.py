@@ -41,6 +41,14 @@ GOLDEN = {
     "sweep/interference_sweep.csv": "22454f57e425c061f9fd5e430dd92e2e5c1536b404361e906c34d9034d1dac93",
     "sweep/interference_sweep.dat": "926c3516271312624e3d266736a861ae7a841bf0d14212783b05a93fc38e066b",
     "sweep/manifest.json": "49ff4b3de73b38d36379ca216e6a872947dd6e42064115524af4886c94093c28",
+    "weights/manifest.json": "a4f093c9ba855d45a60e23fb58ec85d4dace03e70c8c9f517472efaa4a099544",
+    "weights/weight_sweep.csv": "9c1a401e0eecf96448d79154c8caf3bfa00203414eaefa7d45c4ce1286ec2c90",
+    "weights/weight_sweep.dat": "c2dea73ec0bc979fe2466001ae4c4a365bd3efa2ec8208cff4e8a996a9d06e32",
+    "train/curve_seed1.csv": "7f9763452bc00aaaa3a4b69609f97c64055b4712220228f5995204511833c67b",
+    "train/curve_seed2.csv": "0d2e985e46d0eecc95624a32c6174a8321d77bb865b5ce950ce7a8481f4d6de4",
+    "train/dqn_seed1.txt": "fd9b90f10da8fe4a23c389a0f241f00bf346bbeac5581d0aec9ebb8c0258df11",
+    "train/dqn_seed2.txt": "a8c60c5378876035238872020f61c774e64d8749af7c23cb5b5b108bece55ff0",
+    "train/manifest.json": "bfb2c708618c01ae08bc129b2dc42c82f95f38e841155e7154d1d7cbfd62a3c0",
     "ingest/aligned.csv": "76e7d189fbfd2f364c55fe68e74333a578d3b848c89ff71a3281199f31924e77",
     "ingest/ingest_report.csv": "37914e9c72276b959ba213202b4e430a7bc6793e0e11aa30ae455c3fe7a13168",
     "replay/compare.csv": "83924283448191691ff59e78cd3165d482ea3fd539d18737ca586aa676c2acfa",
@@ -50,6 +58,8 @@ GOLDEN = {
     "interval/dqn_seed1.txt": "62ca3f52962ab786f8bdc1c01fde1ebaf2144e34a828d0911a052b7635a8b226",
     "interval/episode.csv": "2cdfd49c90b6ba3c67c1c89e5e15cdc0fb24eb1b576a7108573f053e8b02d6ae",
     "interval/manifest.json": "ef328f900fce65730c05e43cb9596dd29d2b2422da225992d0b4b4c871f3d998",
+    # everything the commands above print, in order
+    "stdout": "728ce28d94e22347cd65c7995764c9996c4bfa49551a82408e6c587248ea979d",
 }
 
 
@@ -122,7 +132,7 @@ def _run(argv: list[str]) -> None:
     assert cli.main(argv) == 0, argv
 
 
-def test_golden_outputs(tmp_path, monkeypatch):
+def test_golden_outputs(tmp_path, monkeypatch, capsys):
     if _build() != PINNED_ON:
         pytest.skip(f"hashes pinned on {PINNED_ON}, this build is {_build()}")
     monkeypatch.chdir(tmp_path)
@@ -141,6 +151,9 @@ def test_golden_outputs(tmp_path, monkeypatch):
           "--checkpoint", "compare/dqn_seed1.txt"])
     _run(["sweep-interference", "--config", "synthetic.json", "--out", "sweep",
           "--seeds", "1,2", "--plotdata"])
+    _run(["sweep-weights", "--config", "synthetic.json", "--out", "weights",
+          "--seeds", "1,2", "--plotdata"])
+    _run(["train", "--config", "synthetic.json", "--out", "train", "--seeds", "1,2"])
     _run(["ingest", "--trace", "trace.txt", "--out", "ingest", "--dump"])
     _run(["compare", "--config", "replay.json", "--out", "replay", "--seeds", "1,2,3"])
 
@@ -156,6 +169,8 @@ def test_golden_outputs(tmp_path, monkeypatch):
     env.write_episode_csv(Path("episode") / "episode.csv")
 
     got = {}
-    for out in ("compare", "reuse", "sweep", "ingest", "replay", "episode", "interval"):
+    for out in ("compare", "reuse", "sweep", "weights", "train", "ingest", "replay", "episode",
+                "interval"):
         got.update(_hashes(tmp_path / out))
+    got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == GOLDEN
