@@ -24,6 +24,7 @@ import numpy as np
 
 from . import nn
 from .errors import TrainingDiverged
+from .metrics import fmt, write_csv
 
 
 @dataclass
@@ -269,12 +270,8 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
 
 
 def write_curve_csv(result: TrainResult, path) -> None:
-    import csv
-
-    from .metrics import fmt
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "return", "mean_loss", "epsilon"])
-        for episode, ep_return, mean_loss, epsilon in result.curve:
-            writer.writerow([episode, fmt(ep_return), fmt(mean_loss), fmt(epsilon)])
+    write_csv(
+        path, ["episode", "return", "mean_loss", "epsilon"],
+        ([episode, fmt(ep_return), fmt(mean_loss), fmt(epsilon)]
+         for episode, ep_return, mean_loss, epsilon in result.curve),
+    )

@@ -10,17 +10,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, ingest, nn
-from .agent import write_curve_csv
+from . import __version__, ingest
 from .errors import CheckFailure, ConfigError
 from .experiments import (
     emit_plotdata,
     run_compare,
     run_interference_sweep,
+    run_train,
     run_weight_sweep,
     spec_from_file,
-    train_dqn,
-    write_manifest,
 )
 
 
@@ -64,16 +62,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     spec = _load_spec(args)
-    spec.validate("train")
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for seed in spec.seeds:
-        result = train_dqn(spec.env, spec.hypers, spec.train_episodes, seed)
-        nn.save_network(result.params, out / f"dqn_seed{seed}.txt")
-        write_curve_csv(result, out / f"curve_seed{seed}.csv")
+    for seed, result in zip(spec.seeds, run_train(spec)):
         final = result.curve[-1] if result.curve else (0, 0.0, 0.0, spec.hypers.eps_start)
         print(f"seed {seed}: {spec.train_episodes} episodes, final return {final[1]:.2f}")
-    write_manifest(spec, "train", out)
     return 0
 
 

@@ -85,7 +85,9 @@ class ReplayConfig:
 
     start_slot/end_slot restrict which part of the trace supplies
     episodes (a time-range split for separating train and evaluation
-    data); None means unbounded.
+    data): start_slot is an integer >= 0, end_slot None (the trace end)
+    or an integer > start_slot, capped at the trace end. A window counts
+    when at least min_presence (in [0, 1]) of its slots hold a reading.
     """
 
     sensors: list[tuple[int, str]]
@@ -130,6 +132,15 @@ class EnvConfig:
             dt = self.replay.delta_t
             if not (isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0):
                 raise ConfigError("replay delta_t must be a finite number > 0")
+            r = self.replay
+            if not (isinstance(r.start_slot, numbers.Integral) and r.start_slot >= 0):
+                raise ConfigError("replay start_slot must be an integer >= 0")
+            if r.end_slot is not None and not (
+                isinstance(r.end_slot, numbers.Integral) and r.end_slot > r.start_slot
+            ):
+                raise ConfigError("replay end_slot must be null or an integer > start_slot")
+            if not (isinstance(r.min_presence, numbers.Real) and 0 <= r.min_presence <= 1):
+                raise ConfigError("replay min_presence must be a number in [0, 1]")
             kinds = [k for _, k in self.replay.sensors]
         else:
             kinds = list(self.sensors)
@@ -187,14 +198,13 @@ def config_from_dict(raw: dict) -> EnvConfig:
         cfg = replace(cfg, ranges={k: (float(lo), float(hi)) for k, (lo, hi) in r.items()})
     if "replay" in known:
         r = known.pop("replay")
-        end = r.get("end_slot")
         cfg = replace(cfg, replay=ReplayConfig(
             sensors=[(int(m), str(k)) for m, k in r.get("sensors", [])],
             path=r.get("path"),
             delta_t=float(r.get("delta_t", 60.0)),
             min_presence=float(r.get("min_presence", 0.5)),
-            start_slot=int(r.get("start_slot", 0)),
-            end_slot=None if end is None else int(end),
+            start_slot=r.get("start_slot", 0),
+            end_slot=r.get("end_slot"),
         ))
     for key, value in known.items():
         if not hasattr(cfg, key):
@@ -297,7 +307,9 @@ class SensorEnv:
             if mote not in self._trace:
                 raise ConfigError(f"mote {mote} missing from trace")
             ms = self._trace[mote]
-            last = len(ms.present) if cfg.replay.end_slot is None else cfg.replay.end_slot
+            last = len(ms.present)
+            if cfg.replay.end_slot is not None:
+                last = min(last, cfg.replay.end_slot)  # windows lie wholly inside the trace
             if last - first < T:
                 raise ConfigError(f"trace range for mote {mote} shorter than one episode")
             mine = {
@@ -439,17 +451,11 @@ class SensorEnv:
 
     def write_episode_csv(self, path) -> None:
         """Dump the per-epoch trace (actions, values, reward terms)."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["epoch", "sensor", "action", "true_value", "kept_value",
-                 "gain", "cost", "duplicate", "reward"]
-            )
-            for e, i, label, truth, kept, *terms in self._rows:
-                writer.writerow(
-                    [e, i, label, metrics.fmt(truth),
-                     "" if kept is None else metrics.fmt(kept),
-                     *(metrics.fmt(x) for x in terms)]
-                )
+        metrics.write_csv(
+            path,
+            ["epoch", "sensor", "action", "true_value", "kept_value",
+             "gain", "cost", "duplicate", "reward"],
+            ([e, i, label, metrics.fmt(truth), "" if kept is None else metrics.fmt(kept),
+              *(metrics.fmt(x) for x in terms)]
+             for e, i, label, truth, kept, *terms in self._rows),
+        )

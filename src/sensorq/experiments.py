@@ -1,4 +1,11 @@
-"""Experiment drivers: policy comparison, weight sweep, interference sweep.
+"""Experiment drivers: training, policy comparison, weight sweep,
+interference sweep.
+
+run_train, run_compare, run_weight_sweep and run_interference_sweep share
+one path: _prologue validates, creates the output directory and reads a
+replay trace once per run; _train_per_seed writes every dqn_seed<s>.txt
+and curve_seed<s>.csv; _report evaluates a policy under every seed and
+aggregates the rows; every table goes out through metrics.write_csv.
 
 Every run is pinned by (config, seed list): training episode seeds,
 evaluation episode seeds, and per-episode policy randomness all derive
@@ -23,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, nn
-from .agent import AgentHyperParams, TrainResult, train, write_curve_csv
+from .agent import AgentHyperParams, TrainResult, hypers_from_dict, train, write_curve_csv
 from .baselines import FixedPolicy, GreedyQPolicy, RandomPolicy, ThresholdPolicy
-from .env import EnvConfig, RewardWeights, SensorEnv, load_replay_trace
+from .env import EnvConfig, RewardWeights, SensorEnv, config_from_dict, load_replay_trace
 from .errors import CheckFailure, ConfigError
 
 EVAL_BASE = 100_000
@@ -81,9 +88,6 @@ def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
 
     The one place config values enter: any value of the wrong type or out
     of range ends here as a ConfigError rather than mid-run."""
-    from .agent import hypers_from_dict
-    from .env import config_from_dict
-
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -139,8 +143,9 @@ def evaluate_policy(
     scores = []
     for ep in range(episodes):
         log = run_episode(env, policy, seed * EVAL_STRIDE + EVAL_BASE + ep)
-        row = metrics.score_episode(log, label, cfg.delta_red, cfg.detection_window)
-        scores.append((row.quality, row.energy_mj, row.redundancy_pct, row.detection_pct))
+        scores.append((metrics.data_quality(log), metrics.energy_total(log),
+                       metrics.redundancy_rate(log, cfg.delta_red),
+                       metrics.event_detection_rate(log, cfg.detection_window)))
     # one mean over the episodes x 4 array; aggregate() sums differently
     q, e, r, d = np.mean(scores, axis=0)
     return metrics.MetricsRow(label, float(q), float(e), float(r), float(d))
@@ -168,6 +173,27 @@ def make_baseline(text: str, horizon: int):
     return ThresholdPolicy(arg, horizon=horizon)
 
 
+def _prologue(spec: ExperimentSpec, kind: str) -> tuple[Path, dict | None]:
+    """Validate the spec, create the output directory and read the replay
+    trace once; every experiment starts here."""
+    spec.validate(kind)
+    out_dir = Path(spec.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, load_replay_trace(spec.env)
+
+
+def _train_per_seed(spec: ExperimentSpec, cfg: EnvConfig, trace) -> list[TrainResult]:
+    """Train one agent per seed, in seed order, writing dqn_seed<s>.txt and
+    curve_seed<s>.csv for each."""
+    results = []
+    for s in spec.seeds:
+        result = train_dqn(cfg, spec.hypers, spec.train_episodes, s, trace)
+        nn.save_network(result.params, Path(spec.out_dir) / f"dqn_seed{s}.txt")
+        write_curve_csv(result, Path(spec.out_dir) / f"curve_seed{s}.csv")
+        results.append(result)
+    return results
+
+
 def _dqn_params_per_seed(
     spec: ExperimentSpec, cfg: EnvConfig, trace
 ) -> dict[int, nn.NetworkParams]:
@@ -186,14 +212,19 @@ def _dqn_params_per_seed(
         return {s: params for s in spec.seeds}
     if not spec.train_missing:
         raise ConfigError("dqn policy needs a checkpoint or training enabled")
-    out: dict[int, nn.NetworkParams] = {}
+    return {s: r.params for s, r in zip(spec.seeds, _train_per_seed(spec, cfg, trace))}
+
+
+def _report(
+    spec: ExperimentSpec, cfg: EnvConfig, text: str, dqn_params: dict, trace
+) -> metrics.MetricsReport:
+    """Evaluate policy `text` under every seed of the spec and aggregate
+    the per-seed rows; "dqn" runs the seed's network from `dqn_params`."""
+    rows = []
     for s in spec.seeds:
-        result = train_dqn(cfg, spec.hypers, spec.train_episodes, s, trace)
-        out[s] = result.params
-        ckpt = Path(spec.out_dir) / f"dqn_seed{s}.txt"
-        nn.save_network(result.params, ckpt)
-        write_curve_csv(result, Path(spec.out_dir) / f"curve_seed{s}.csv")
-    return out
+        policy = GreedyQPolicy(dqn_params[s]) if text == "dqn" else make_baseline(text, cfg.epochs)
+        rows.append(evaluate_policy(cfg, policy, s, spec.eval_episodes, text, trace))
+    return metrics.aggregate(rows, spec.seeds)
 
 
 def matched_random_rate(cfg: EnvConfig, energy_mj: float) -> float:
@@ -205,29 +236,23 @@ def matched_random_rate(cfg: EnvConfig, energy_mj: float) -> float:
     return float(np.clip(q, 0.0, 1.0))
 
 
-# -- the three experiments ---------------------------------------------------
+# -- training and the three experiments --------------------------------------
+
+
+def run_train(spec: ExperimentSpec) -> list[TrainResult]:
+    """Train one agent per seed; the results come back in seed order."""
+    out_dir, trace = _prologue(spec, "train")
+    results = _train_per_seed(spec, spec.env, trace)
+    write_manifest(spec, "train", out_dir)
+    return results
 
 
 def run_compare(spec: ExperimentSpec, check: bool = False) -> list[metrics.MetricsReport]:
     """Policy-comparison table, one aggregated row per policy."""
-    spec.validate("compare")
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir, trace = _prologue(spec, "compare")
     cfg = spec.env
-    trace = load_replay_trace(cfg)
     dqn_params = _dqn_params_per_seed(spec, cfg, trace) if "dqn" in spec.policies else {}
-
-    reports = []
-    for text in spec.policies:
-        rows = []
-        for s in spec.seeds:
-            policy = (
-                GreedyQPolicy(dqn_params[s])
-                if text == "dqn"
-                else make_baseline(text, cfg.epochs)
-            )
-            rows.append(evaluate_policy(cfg, policy, s, spec.eval_episodes, text, trace))
-        reports.append(metrics.aggregate(rows, spec.seeds))
+    reports = [_report(spec, cfg, text, dqn_params, trace) for text in spec.policies]
     metrics.write_reports_csv(reports, out_dir / "compare.csv")
     write_manifest(spec, "compare", out_dir)
     if check:
@@ -248,13 +273,8 @@ def check_compare(spec: ExperimentSpec, reports: list[metrics.MetricsReport], tr
     if not dqn.redundancy_pct < fixed.redundancy_pct:
         failures.append("dqn redundancy not below fixed(1)")
     q_hat = matched_random_rate(spec.env, dqn.energy_mj)
-    rows = [
-        evaluate_policy(
-            spec.env, RandomPolicy(q_hat), s, spec.eval_episodes, "random-matched", trace
-        )
-        for s in spec.seeds
-    ]
-    matched = metrics.aggregate(rows, spec.seeds)
+    # repr() round-trips the float, so this parses back to RandomPolicy(q_hat)
+    matched = _report(spec, spec.env, f"random({q_hat!r})", {}, trace)
     if not dqn.detection_pct >= matched.detection_pct:
         failures.append(
             f"dqn detection {dqn.detection_pct:.1f}% below matched random "
@@ -264,44 +284,23 @@ def check_compare(spec: ExperimentSpec, reports: list[metrics.MetricsReport], tr
         raise CheckFailure("; ".join(failures))
 
 
-WEIGHT_COLUMNS = [
-    "info_w", "energy_w", "redundancy_w",
-    "data_quality", "energy_mj", "redundancy_pct", "detection_pct",
-    "data_quality_std", "energy_mj_std", "redundancy_pct_std", "detection_pct_std",
-    "seeds",
-]
+WEIGHT_COLUMNS = ["info_w", "energy_w", "redundancy_w", *metrics.REPORT_COLUMNS[1:]]
 
 
 def run_weight_sweep(spec: ExperimentSpec, check: bool = False) -> list[dict]:
     """Train and evaluate one agent per reward-weight triple."""
-    spec.validate("weight-sweep")
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace = load_replay_trace(spec.env)
+    out_dir, trace = _prologue(spec, "weight-sweep")
     results = []
     for triple in spec.weight_triples:
         cfg = replace(spec.env, weights=RewardWeights(*triple))
-        rows = []
-        for s in spec.seeds:
-            params = train_dqn(cfg, spec.hypers, spec.train_episodes, s, trace).params
-            rows.append(
-                evaluate_policy(cfg, GreedyQPolicy(params), s, spec.eval_episodes, "dqn", trace)
-            )
-        agg = metrics.aggregate(rows, spec.seeds)
-        results.append({"triple": triple, "report": agg})
-    with open(out_dir / "weight_sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEIGHT_COLUMNS)
-        for cell in results:
-            (w1, w2, w3), r = cell["triple"], cell["report"]
-            writer.writerow(
-                [metrics.fmt(w1), metrics.fmt(w2), metrics.fmt(w3),
-                 metrics.fmt(r.quality), metrics.fmt(r.energy_mj),
-                 metrics.fmt(r.redundancy_pct), metrics.fmt(r.detection_pct),
-                 metrics.fmt(r.quality_std), metrics.fmt(r.energy_std),
-                 metrics.fmt(r.redundancy_std), metrics.fmt(r.detection_std),
-                 ";".join(str(s) for s in spec.seeds)]
-            )
+        params = {s: train_dqn(cfg, spec.hypers, spec.train_episodes, s, trace).params
+                  for s in spec.seeds}
+        results.append({"triple": triple, "report": _report(spec, cfg, "dqn", params, trace)})
+    metrics.write_csv(
+        out_dir / "weight_sweep.csv", WEIGHT_COLUMNS,
+        ([metrics.fmt(w) for w in c["triple"]] + metrics.report_cells(c["report"])
+         for c in results),
+    )
     write_manifest(spec, "weight-sweep", out_dir)
     if check:
         check_weight_sweep(spec, results)
@@ -333,44 +332,24 @@ def run_interference_sweep(spec: ExperimentSpec, check: bool = False) -> list[di
     Learned agents are trained once per seed at eta = 0 and then
     evaluated, frozen, at each grid level (robustness, not retraining).
     """
-    spec.validate("interference-sweep")
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir, trace = _prologue(spec, "interference-sweep")
     clean_cfg = replace(spec.env, eta=0.0)
-    trace = load_replay_trace(spec.env)
     dqn_params = _dqn_params_per_seed(spec, clean_cfg, trace) if "dqn" in spec.policies else {}
 
     results = []
     for text in spec.policies:
         for eta in spec.eta_grid:
-            cfg = replace(spec.env, eta=float(eta))
-            per_seed = []
-            for s in spec.seeds:
-                policy = (
-                    GreedyQPolicy(dqn_params[s])
-                    if text == "dqn"
-                    else make_baseline(text, cfg.epochs)
-                )
-                row = evaluate_policy(cfg, policy, s, spec.eval_episodes, text, trace)
-                per_seed.append(row.quality)
-            arr = np.array(per_seed)
+            r = _report(spec, replace(spec.env, eta=float(eta)), text, dqn_params, trace)
             results.append(
-                {
-                    "policy": text,
-                    "eta": float(eta),
-                    "quality": float(arr.mean()),
-                    "quality_std": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
-                }
+                {"policy": text, "eta": float(eta), "quality": r.quality,
+                 "quality_std": r.quality_std}
             )
-    with open(out_dir / "interference_sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INTERFERENCE_COLUMNS)
-        for cell in results:
-            writer.writerow(
-                [cell["policy"], metrics.fmt(cell["eta"]), metrics.fmt(cell["quality"]),
-                 metrics.fmt(cell["quality_std"]),
-                 ";".join(str(s) for s in spec.seeds)]
-            )
+    seeds = ";".join(str(s) for s in spec.seeds)
+    metrics.write_csv(
+        out_dir / "interference_sweep.csv", INTERFERENCE_COLUMNS,
+        ([c["policy"], metrics.fmt(c["eta"]), metrics.fmt(c["quality"]),
+          metrics.fmt(c["quality_std"]), seeds] for c in results),
+    )
     write_manifest(spec, "interference-sweep", out_dir)
     if check:
         check_interference(spec, results)

@@ -23,7 +23,6 @@ readings land in one slot the later one wins.
 from __future__ import annotations
 
 import calendar
-import csv
 import math
 import re
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import ConfigError
+from .metrics import fmt, write_csv
 
 CHANNELS = ("temperature", "humidity", "light", "voltage")
 
@@ -210,34 +210,30 @@ def hold_fill(series: MoteSeries) -> MoteSeries:
 
 
 def write_report_csv(report: IngestReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["reason", "count"])
-        writer.writerow(["kept", report.kept])
-        for reason in sorted(report.skipped):
-            writer.writerow([reason, report.skipped[reason]])
+    rows = [["kept", report.kept]] + [[r, report.skipped[r]] for r in sorted(report.skipped)]
+    write_csv(path, ["reason", "count"], rows)
+
+
+def _aligned_rows(series: dict[int, MoteSeries]):
+    """One row per (mote, slot); a missing value leaves empty cells."""
+    for mote in sorted(series):
+        ms = series[mote]
+        for slot in range(len(ms.present)):
+            raw, norm = [], []
+            for ch in CHANNELS:
+                v = ms.values[ch][slot]
+                if np.isnan(v):
+                    raw.append("")
+                    norm.append("")
+                    continue
+                lo, hi = ms.stats[ch]
+                span = hi - lo if hi > lo else 1.0
+                raw.append(fmt(v))
+                norm.append(fmt((float(v) - lo) / span))
+            yield [mote, slot, int(ms.present[slot])] + raw + norm
 
 
 def write_aligned_csv(series: dict[int, MoteSeries], path) -> None:
     """Inspection dump: raw and min/max-normalized values per (mote, slot)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mote", "slot", "present", *CHANNELS, *[f"{ch}_norm" for ch in CHANNELS]]
-        )
-        for mote in sorted(series):
-            ms = series[mote]
-            for slot in range(len(ms.present)):
-                row = [mote, slot, int(ms.present[slot])]
-                raw, norm = [], []
-                for ch in CHANNELS:
-                    v = ms.values[ch][slot]
-                    if np.isnan(v):
-                        raw.append("")
-                        norm.append("")
-                        continue
-                    lo, hi = ms.stats[ch]
-                    span = hi - lo if hi > lo else 1.0
-                    raw.append(format(float(v), ".12g"))
-                    norm.append(format((float(v) - lo) / span, ".12g"))
-                writer.writerow(row + raw + norm)
+    header = ["mote", "slot", "present", *CHANNELS, *[f"{ch}_norm" for ch in CHANNELS]]
+    write_csv(path, header, _aligned_rows(series))

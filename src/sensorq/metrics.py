@@ -144,18 +144,6 @@ def event_detection_rate(log: EpisodeLog, window: int) -> float:
     return float(np.mean(rates))
 
 
-def score_episode(
-    log: EpisodeLog, policy: str, delta_red: float, detection_window: int
-) -> MetricsRow:
-    return MetricsRow(
-        policy,
-        data_quality(log),
-        energy_total(log),
-        redundancy_rate(log, delta_red),
-        event_detection_rate(log, detection_window),
-    )
-
-
 def aggregate(rows: list[MetricsRow], seeds: list[int] | None = None) -> MetricsReport:
     """Mean and sample standard deviation across per-seed rows."""
     if not rows:
@@ -197,22 +185,21 @@ def fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def write_reports_csv(reports: list[MetricsReport], path) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header and data rows; every CSV the program writes goes
+    through here."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.policy,
-                    fmt(r.quality),
-                    fmt(r.energy_mj),
-                    fmt(r.redundancy_pct),
-                    fmt(r.detection_pct),
-                    fmt(r.quality_std),
-                    fmt(r.energy_std),
-                    fmt(r.redundancy_std),
-                    fmt(r.detection_std),
-                    ";".join(str(s) for s in r.seeds),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def report_cells(r: MetricsReport) -> list[str]:
+    """The cells of one report under REPORT_COLUMNS[1:]."""
+    values = (r.quality, r.energy_mj, r.redundancy_pct, r.detection_pct,
+              r.quality_std, r.energy_std, r.redundancy_std, r.detection_std)
+    return [fmt(v) for v in values] + [";".join(str(s) for s in r.seeds)]
+
+
+def write_reports_csv(reports: list[MetricsReport], path) -> None:
+    write_csv(path, REPORT_COLUMNS, ([r.policy] + report_cells(r) for r in reports))

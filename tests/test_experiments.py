@@ -22,6 +22,7 @@ from sensorq.experiments import (
     run_compare,
     run_episode,
     run_interference_sweep,
+    run_train,
     run_weight_sweep,
     spec_from_file,
     train_dqn,
@@ -182,7 +183,9 @@ class TestCompare:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.parametrize("runner", [run_compare, run_weight_sweep, run_interference_sweep])
+@pytest.mark.parametrize(
+    "runner", [run_compare, run_weight_sweep, run_interference_sweep, run_train]
+)
 def test_replay_trace_read_once_per_experiment(tmp_path, monkeypatch, runner):
     from sensorq import ingest
 
@@ -199,7 +202,7 @@ def test_replay_trace_read_once_per_experiment(tmp_path, monkeypatch, runner):
     monkeypatch.setattr(ingest, "load_trace", counting)
     env = tiny_env(epochs=12, mode="replay",
                    replay=ReplayConfig(sensors=[(1, "temperature")], path=str(trace)))
-    spec = tiny_spec(tmp_path / "out", env=env, seeds=[1], policies=["fixed(1)", "dqn"],
+    spec = tiny_spec(tmp_path / "out", env=env, seeds=[1, 2], policies=["fixed(1)", "dqn"],
                      train_episodes=2, weight_triples=[(0.6, 0.2, 0.2), (0.2, 0.5, 0.3)],
                      eta_grid=[0.0, 0.5])
     runner(spec)
@@ -437,6 +440,48 @@ class TestCli:
         assert capsys.readouterr().err == (
             "configuration error: replay delta_t must be a finite number > 0\n"
         )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"start_slot": -5}, "replay start_slot must be an integer >= 0"),
+            ({"start_slot": 2.5}, "replay start_slot must be an integer >= 0"),
+            ({"start_slot": 4, "end_slot": 4}, "replay end_slot must be null or an integer > start_slot"),
+            ({"end_slot": 9.5}, "replay end_slot must be null or an integer > start_slot"),
+            ({"min_presence": -1}, "replay min_presence must be a number in [0, 1]"),
+            ({"min_presence": 1.5}, "replay min_presence must be a number in [0, 1]"),
+            ({"min_presence": float("nan")}, "replay min_presence must be a number in [0, 1]"),
+        ],
+        ids=["start-negative", "start-fraction", "end-not-after-start", "end-fraction",
+             "presence-negative", "presence-above-1", "presence-nan"],
+    )
+    def test_replay_bad_slots_are_one_line_exit_1(self, tmp_path, capsys, fields, message):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("2004-03-01 00:00:00.0 0 1 20.0 40.0 100.0 2.7\n")
+        replay = dict({"path": str(trace), "sensors": [[1, "temperature"]]}, **fields)
+        raw = {"env": {"epochs": 8, "mode": "replay", "replay": replay},
+               "experiment": {"policies": ["fixed(1)"], "eval_episodes": 2}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_replay_end_slot_past_trace_end(self, tmp_path):
+        trace = tmp_path / "trace.txt"
+        trace.write_text(
+            "".join(f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 9}.0 40.0 100.0 2.7\n"
+                    for i in range(10))
+        )
+        replay = {"path": str(trace), "sensors": [[1, "temperature"]], "end_slot": 16}
+        raw = {"env": {"epochs": 8, "mode": "replay", "replay": replay},
+               "experiment": {"policies": ["fixed(1)"], "eval_episodes": 2}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(
+            ["compare", "--config", str(path), "--out", str(tmp_path / "out"), "--seeds", "1,2"]
+        )
+        assert code == 0
 
     @pytest.mark.parametrize("command", ["compare", "sweep-interference"])
     def test_bad_policy_fails_before_training(self, tmp_path, capsys, command):

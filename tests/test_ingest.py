@@ -325,6 +325,31 @@ class TestReplayIntegration:
             env.reset(seed)
             np.testing.assert_array_equal(env._truth[0], [25.0, 26.0, 27.0, 27.0, 29.0])
 
+    @pytest.mark.parametrize("end_slot", [None, 20, 40])
+    def test_every_window_supplies_epochs_values(self, tmp_path, end_slot):
+        from sensorq.env import EnvConfig, ReplayConfig, SensorEnv
+
+        lines = [
+            f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 7}.0 40.0 100.0 2.7"
+            for i in range(23)
+        ]
+        series, _ = load_trace(write_trace(tmp_path, lines))
+        trace = {m: hold_fill(s) for m, s in series.items()}
+        cfg = EnvConfig(
+            epochs=8,
+            mode="replay",
+            replay=ReplayConfig(sensors=[(1, "temperature")], start_slot=1, end_slot=end_slot),
+        )
+        env = SensorEnv(cfg, trace=trace)
+        env.reset(0)
+        assert env._windows
+        for seed, start in enumerate(env._windows):
+            assert start + cfg.epochs <= 23
+            env.reset(seed)
+            np.testing.assert_array_equal(
+                env._truth[0], trace[1].values["temperature"][start : start + cfg.epochs]
+            )
+
     def test_report_csv(self, tmp_path):
         lines = [GOOD, "", "junk"]
         _, report = load_trace(write_trace(tmp_path, lines))
