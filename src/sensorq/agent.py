@@ -18,12 +18,12 @@ marks horizon cut-offs that should still bootstrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .errors import TrainingDiverged
+from .errors import TrainingDiverged, is_int, is_real, require, require_keys
 from .metrics import fmt, write_csv
 
 
@@ -155,21 +155,25 @@ class AgentHyperParams:
     hard_copy_every: int | None = None  # optional hard target copy instead of soft updates
 
     def validate(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        if not 0.0 < self.eps_decay <= 1.0:
-            raise ValueError("eps_decay must lie in (0, 1]")
-        if self.eps_min > self.eps_start:
-            raise ValueError("eps_min cannot exceed eps_start")
-        if self.batch_size < 1 or min(self.replay_capacity, self.warmup, self.train_per_step) < 0:
-            raise ValueError("batch_size must be >= 1 and the other sizes non-negative")
+        require(is_real(self.gamma, 0.0, 1.0), "gamma must lie in [0, 1]")
+        require(all(is_real(x, 0.0, 1.0) and x > 0 for x in (self.tau, self.eps_decay)),
+                "tau and eps_decay must lie in (0, 1]")
+        require(is_real(self.eps_start, 0.0, 1.0), "eps_start must lie in [0, 1]")
+        require(is_real(self.eps_min, 0.0, self.eps_start), "eps_min must lie in [0, eps_start]")
+        require(is_real(self.lr) and self.lr > 0, "lr must be a number > 0")
+        require(is_int(self.batch_size, 1), "batch_size must be an integer >= 1")
+        require(all(is_int(n, 0) for n in (self.replay_capacity, self.warmup, self.train_per_step)),
+                "replay_capacity, warmup and train_per_step must be integers >= 0")
+        require(isinstance(self.hidden, (list, tuple)) and all(is_int(n, 1) for n in self.hidden),
+                "hidden must be a list of integers >= 1")
+        require(self.hard_copy_every is None or is_int(self.hard_copy_every, 0),
+                "hard_copy_every must be null or an integer >= 0")
 
 
 def hypers_from_dict(raw: dict) -> AgentHyperParams:
     """Build and validate hyperparameters from the `agent` config section;
-    bad values raise TypeError or ValueError."""
+    malformed values raise TypeError or ValueError."""
+    raw = require_keys(raw, AgentHyperParams.__dataclass_fields__, "agent")
     hp = AgentHyperParams(**{k: tuple(v) if k == "hidden" else v for k, v in raw.items()})
     hp.validate()
     return hp
@@ -179,7 +183,6 @@ def hypers_from_dict(raw: dict) -> AgentHyperParams:
 class TrainResult:
     params: nn.NetworkParams
     curve: list[tuple[int, float, float, float]]  # (episode, return, mean loss, epsilon)
-    hypers: AgentHyperParams = field(repr=False, default=None)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -266,7 +269,7 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
         mean_loss = float(np.mean(losses)) if losses else 0.0
         curve.append((episode, ep_return, mean_loss, epsilon))
         epsilon = decay_epsilon(epsilon, hypers.eps_decay, hypers.eps_min)
-    return TrainResult(online, curve, hypers)
+    return TrainResult(online, curve)
 
 
 def write_curve_csv(result: TrainResult, path) -> None:

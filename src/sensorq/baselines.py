@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn
 from .env import OBS_SLOPE, OBS_TIME, SAMPLE, SKIP
-from .errors import ConfigError
+from .errors import is_int, is_real, require
 
 PROBE_CAP = 12  # threshold policy samples at least this often (epochs)
 
@@ -21,10 +21,8 @@ class FixedPolicy:
     """Sample every `period` epochs (epoch 0, period, 2*period, ...)."""
 
     def __init__(self, period: int):
-        if period < 1:
-            raise ConfigError("fixed policy period must be >= 1")
+        require(is_int(period, 1), "fixed policy period must be an integer >= 1")
         self.period = period
-        self.name = f"fixed({period})"
 
     def reset(self, rng) -> None:
         pass
@@ -38,10 +36,8 @@ class RandomPolicy:
     """Sample each sensor independently with probability q."""
 
     def __init__(self, q: float):
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError("random policy rate must lie in [0, 1]")
+        require(is_real(q, 0.0, 1.0), "random policy rate must lie in [0, 1]")
         self.q = q
-        self.name = f"random({q:g})"
         self._rng = np.random.default_rng(0)
 
     def reset(self, rng) -> None:
@@ -64,11 +60,9 @@ class ThresholdPolicy:
     """
 
     def __init__(self, threshold: float, horizon: int):
-        if threshold < 0:
-            raise ConfigError("threshold policy needs threshold >= 0")
+        require(is_real(threshold, 0.0), "threshold policy needs a finite threshold >= 0")
         self.threshold = threshold
         self.horizon = horizon
-        self.name = f"threshold({threshold:g})"
 
     def reset(self, rng) -> None:
         pass
@@ -88,9 +82,8 @@ class ThresholdPolicy:
 class GreedyQPolicy:
     """Argmax over a frozen Q-network (evaluation-time policy)."""
 
-    def __init__(self, params: nn.NetworkParams, name: str = "dqn"):
+    def __init__(self, params: nn.NetworkParams):
         self.params = params
-        self.name = name
 
     def reset(self, rng) -> None:
         pass

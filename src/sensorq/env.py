@@ -27,14 +27,12 @@ must pass None (or 0 in binary mode) for them, anything else is rejected.
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .errors import ConfigError
+from .errors import as_float, is_int, is_real, require, require_keys
 from .signals import (
     CHANNEL_RANGE,
     KIND_INDEX,
@@ -70,10 +68,8 @@ class RewardWeights:
     redundancy: float = 0.2
 
     def validate(self) -> None:
-        if min(self.info, self.energy, self.redundancy) < 0:
-            raise ConfigError("reward weights must be non-negative")
-        if self.info == self.energy == self.redundancy == 0:
-            raise ConfigError("reward weights must not all be zero")
+        require(all(is_real(w, 0.0) for w in self.as_tuple()), "reward weights must be numbers >= 0")
+        require(any(self.as_tuple()), "reward weights must not all be zero")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.info, self.energy, self.redundancy)
@@ -97,6 +93,16 @@ class ReplayConfig:
     start_slot: int = 0
     end_slot: int | None = None
 
+    def validate(self) -> None:
+        require(all(is_int(m, 1) for m, _ in self.sensors), "replay motes must be integers >= 1")
+        require(self.path is None or isinstance(self.path, str), "replay path must be a string")
+        dt = self.delta_t
+        require(is_real(dt) and dt > 0, "replay delta_t must be a finite number > 0")
+        require(is_int(self.start_slot, 0), "replay start_slot must be an integer >= 0")
+        require(self.end_slot is None or is_int(self.end_slot, self.start_slot + 1),
+                "replay end_slot must be null or an integer > start_slot")
+        require(is_real(self.min_presence, 0.0, 1.0), "replay min_presence must be a number in [0, 1]")
+
 
 @dataclass
 class EnvConfig:
@@ -118,51 +124,32 @@ class EnvConfig:
     replay: ReplayConfig | None = None
 
     def validate(self) -> None:
-        for name in ("epochs", "detection_window"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer")
-        for name in ("idle_cost", "battery_mj", "delta_red", "eta", "noise_beta", "drop_prob"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ConfigError(f"{name} must be a number")
-        if self.mode not in ("synthetic", "replay"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == "replay":
-            if self.replay is None or not self.replay.sensors:
-                raise ConfigError("replay mode needs a replay section with sensors")
-            dt = self.replay.delta_t
-            if not (isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0):
-                raise ConfigError("replay delta_t must be a finite number > 0")
-            r = self.replay
-            if not (isinstance(r.start_slot, numbers.Integral) and r.start_slot >= 0):
-                raise ConfigError("replay start_slot must be an integer >= 0")
-            if r.end_slot is not None and not (
-                isinstance(r.end_slot, numbers.Integral) and r.end_slot > r.start_slot
-            ):
-                raise ConfigError("replay end_slot must be null or an integer > start_slot")
-            if not (isinstance(r.min_presence, numbers.Real) and 0 <= r.min_presence <= 1):
-                raise ConfigError("replay min_presence must be a number in [0, 1]")
-            kinds = [k for _, k in self.replay.sensors]
-        else:
-            kinds = list(self.sensors)
-        if not kinds:
-            raise ConfigError("need at least one sensor")
+        require(self.mode in ("synthetic", "replay"), f"unknown mode {self.mode!r}")
+        if self.replay is not None:
+            self.replay.validate()
+        require(self.mode == "synthetic" or (self.replay is not None and self.replay.sensors),
+                "replay mode needs a replay section with sensors")
+        require(isinstance(self.sensors, (list, tuple)), "sensors must be a list of channel kinds")
+        kinds = self.sensor_kinds
+        require(kinds, "need at least one sensor")
         for k in kinds:
-            if k not in KIND_INDEX:
-                raise ConfigError(f"unknown channel kind {k!r}")
-        if self.epochs < 2:
-            raise ConfigError("episodes need at least 2 epochs")
-        if self.idle_cost < 0 or any(self.sample_costs.get(k, -1) < 0 for k in kinds):
-            raise ConfigError("energy costs must be non-negative")
-        if self.battery_mj <= 0:
-            raise ConfigError("initial battery must be positive")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("interference level must lie in [0, 1]")
-        if min(self.noise_beta, self.delta_red, self.detection_window) < 0:
-            raise ConfigError("noise_beta, delta_red and detection_window must be non-negative")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ConfigError("drop_prob must lie in [0, 1]")
-        if self.action_mode not in ("binary", "interval"):
-            raise ConfigError(f"unknown action mode {self.action_mode!r}")
+            require(isinstance(k, str) and k in KIND_INDEX, f"unknown channel kind {k!r}")
+        if self.mode == "synthetic":
+            require(isinstance(self.ranges, dict) and all(
+                len(self.ranges.get(k, ())) == 2 and all(map(is_real, self.ranges[k])) for k in kinds
+            ), "ranges need a [low, high] pair of numbers for every sensor kind")
+        require(is_int(self.epochs, 2), "epochs must be an integer >= 2")
+        costs = self.sample_costs
+        require(is_real(self.idle_cost, 0.0) and isinstance(costs, dict)
+                and all(is_real(costs.get(k), 0.0) for k in kinds),
+                "idle_cost and the sample_costs of every sensor kind must be numbers >= 0")
+        require(is_real(self.battery_mj) and self.battery_mj > 0, "battery_mj must be a number > 0")
+        require(is_real(self.eta, 0.0, 1.0), "eta must be a number in [0, 1]")
+        require(is_real(self.drop_prob, 0.0, 1.0), "drop_prob must be a number in [0, 1]")
+        require(is_real(self.noise_beta, 0.0) and is_real(self.delta_red, 0.0),
+                "noise_beta and delta_red must be numbers >= 0")
+        require(is_int(self.detection_window, 0), "detection_window must be an integer >= 0")
+        require(self.action_mode in ("binary", "interval"), f"unknown action mode {self.action_mode!r}")
         self.weights.validate()
         self.signal.validate()
 
@@ -180,36 +167,25 @@ class EnvConfig:
 
 
 def config_from_dict(raw: dict) -> EnvConfig:
-    """Build an EnvConfig from the documented JSON schema (env section).
+    """Build and validate an EnvConfig from the documented JSON schema (env
+    section).
 
     Malformed nested values raise TypeError or ValueError, which
     experiments.spec_from_file turns into a ConfigError."""
-    known = dict(raw)
-    cfg = EnvConfig()
-    if "weights" in known:
-        w = known.pop("weights")
-        cfg = replace(cfg, weights=RewardWeights(
-            float(w.get("info", 0.6)), float(w.get("energy", 0.2)), float(w.get("redundancy", 0.2))
-        ))
-    if "signal" in known:
-        cfg = replace(cfg, signal=SignalParams(**known.pop("signal")))
-    if "ranges" in known:
-        r = known.pop("ranges")
-        cfg = replace(cfg, ranges={k: (float(lo), float(hi)) for k, (lo, hi) in r.items()})
-    if "replay" in known:
-        r = known.pop("replay")
-        cfg = replace(cfg, replay=ReplayConfig(
-            sensors=[(int(m), str(k)) for m, k in r.get("sensors", [])],
-            path=r.get("path"),
-            delta_t=float(r.get("delta_t", 60.0)),
-            min_presence=float(r.get("min_presence", 0.5)),
-            start_slot=r.get("start_slot", 0),
-            end_slot=r.get("end_slot"),
-        ))
-    for key, value in known.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown env config key {key!r}")
-        cfg = replace(cfg, **{key: value})
+    kw = dict(require_keys(raw, EnvConfig.__dataclass_fields__, "env"))
+    if "weights" in kw:
+        w = require_keys(kw["weights"], RewardWeights.__dataclass_fields__, "env.weights")
+        kw["weights"] = RewardWeights(**{k: as_float(v) for k, v in w.items()})
+    if "signal" in kw:
+        kw["signal"] = SignalParams(
+            **require_keys(kw["signal"], SignalParams.__dataclass_fields__, "env.signal"))
+    if "ranges" in kw:
+        kw["ranges"] = {k: (as_float(lo), as_float(hi)) for k, (lo, hi) in kw["ranges"].items()}
+    if "replay" in kw:
+        r = dict(require_keys(kw["replay"], ReplayConfig.__dataclass_fields__, "env.replay"))
+        r.update({k: as_float(v) for k, v in r.items() if k in ("delta_t", "min_presence")})
+        kw["replay"] = ReplayConfig(**dict(r, sensors=[(m, k) for m, k in r.get("sensors", [])]))
+    cfg = EnvConfig(**kw)
     cfg.validate()
     return cfg
 
@@ -220,8 +196,7 @@ def load_replay_trace(config: EnvConfig) -> dict | None:
     None in synthetic mode."""
     if config.mode != "replay":
         return None
-    if not config.replay.path:
-        raise ConfigError("replay mode needs preloaded series or a trace path")
+    require(config.replay.path, "replay mode needs preloaded series or a trace path")
     from . import ingest
 
     series, _ = ingest.load_trace(config.replay.path, delta_t=config.replay.delta_t)
@@ -284,8 +259,7 @@ class SensorEnv:
             self._trace = load_replay_trace(cfg)
         if self._windows is None:
             self._windows = self._usable_windows()
-        if not self._windows:
-            raise ConfigError("trace has no usable episode windows")
+        require(self._windows, "trace has no usable episode windows")
         start = self._windows[self._seed % len(self._windows)]
         T = cfg.epochs
         self._truth, self._events, self._spans, self._los = [], [], [], []
@@ -304,14 +278,12 @@ class SensorEnv:
         first = cfg.replay.start_slot
         windows = None
         for mote, _ in cfg.replay.sensors:
-            if mote not in self._trace:
-                raise ConfigError(f"mote {mote} missing from trace")
+            require(mote in self._trace, f"mote {mote} missing from trace")
             ms = self._trace[mote]
             last = len(ms.present)
             if cfg.replay.end_slot is not None:
                 last = min(last, cfg.replay.end_slot)  # windows lie wholly inside the trace
-            if last - first < T:
-                raise ConfigError(f"trace range for mote {mote} shorter than one episode")
+            require(last - first >= T, f"trace range for mote {mote} shorter than one episode")
             mine = {
                 s
                 for s in range(first, last - T + 1, T)

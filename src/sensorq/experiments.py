@@ -9,8 +9,8 @@ aggregates the rows; every table goes out through metrics.write_csv.
 
 Every run is pinned by (config, seed list): training episode seeds,
 evaluation episode seeds, and per-episode policy randomness all derive
-arithmetically from them, so re-running a manifest reproduces output
-files byte for byte.
+arithmetically from them, so re-running the same config file and seeds
+reproduces output files byte for byte on the same build.
 
 Seed plumbing
     training episode e of agent seed s   -> s * 1_000_003 + e
@@ -33,7 +33,7 @@ from . import __version__, metrics, nn
 from .agent import AgentHyperParams, TrainResult, hypers_from_dict, train, write_curve_csv
 from .baselines import FixedPolicy, GreedyQPolicy, RandomPolicy, ThresholdPolicy
 from .env import EnvConfig, RewardWeights, SensorEnv, config_from_dict, load_replay_trace
-from .errors import CheckFailure, ConfigError
+from .errors import CheckFailure, ConfigError, as_float, is_int, is_real, require, require_keys
 
 EVAL_BASE = 100_000
 EVAL_STRIDE = 524_287
@@ -67,55 +67,53 @@ class ExperimentSpec:
     train_missing: bool = True  # train dqn when no checkpoint is given
 
     def validate(self, kind: str) -> None:
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if kind == "weight-sweep" and len(self.weight_triples) < 2:
-            raise ConfigError("weight sweep needs at least two weight triples")
-        if kind == "interference-sweep":
-            if len(self.eta_grid) < 2:
-                raise ConfigError("interference sweep needs at least two eta values")
-            if any(not 0.0 <= e <= 1.0 for e in self.eta_grid):
-                raise ConfigError("eta values must lie in [0, 1]")
-        if self.train_episodes < 0 or self.eval_episodes < 1:
-            raise ConfigError("bad episode counts")
+        require(isinstance(self.seeds, (list, tuple)) and all(is_int(s, 0) for s in self.seeds),
+                "seeds must be a list of integers >= 0")
+        require(self.seeds, "need at least one seed")
+        require(is_int(self.train_episodes, 0) and is_int(self.eval_episodes, 1),
+                "bad episode counts")
+        require(isinstance(self.policies, list), "policies must be a list of policy strings")
+        require(self.policies or kind in ("train", "weight-sweep"), "need at least one policy")
         for text in self.policies:  # fail before any training
             if text != "dqn":
                 make_baseline(text, self.env.epochs)
+        for triple in self.weight_triples:
+            require(len(triple) == 3, f"weight triple {list(triple)} needs three weights")
+            RewardWeights(*triple).validate()
+        require(all(is_real(e, 0.0, 1.0) for e in self.eta_grid), "eta values must lie in [0, 1]")
+        require(kind != "weight-sweep" or len(self.weight_triples) >= 2,
+                "weight sweep needs at least two weight triples")
+        require(kind != "interference-sweep" or len(self.eta_grid) >= 2,
+                "interference sweep needs at least two eta values")
+
+
+EXPERIMENT_KEYS = ("policies", "seeds", "train_episodes", "eval_episodes", "weight_triples", "eta_grid")
 
 
 def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
     """Build a spec from the documented JSON schema (env/agent/experiment).
 
-    The one place config values enter: any value of the wrong type or out
-    of range ends here as a ConfigError rather than mid-run."""
+    The one place config values enter: a value of the wrong type or out of
+    range, or an unknown key, ends here or in ExperimentSpec.validate as a
+    ConfigError rather than mid-run."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
-        exp = raw.get("experiment", {})
-        spec = ExperimentSpec(
-            env=config_from_dict(raw.get("env", {})),
-            hypers=hypers_from_dict(raw.get("agent", {})),
-            out_dir=Path(out_dir),
-            policies=[str(p) for p in exp.get("policies", DEFAULT_POLICIES)],
-            weight_triples=[tuple(t) for t in exp.get("weight_triples", DEFAULT_TRIPLES)],
-            eta_grid=[float(e) for e in exp.get("eta_grid", DEFAULT_ETA_GRID)],
-            train_episodes=int(exp.get("train_episodes", 300)),
-            eval_episodes=int(exp.get("eval_episodes", 20)),
-        )
-        for triple in spec.weight_triples:
-            if len(triple) != 3:
-                raise ConfigError(f"weight triple {list(triple)} needs three weights")
-            RewardWeights(*triple).validate()
+        require_keys(raw, ("env", "agent", "experiment"), "top-level")
+        exp = dict(require_keys(raw.get("experiment", {}), EXPERIMENT_KEYS, "experiment"))
+        if "weight_triples" in exp:
+            exp["weight_triples"] = [tuple(t) for t in exp["weight_triples"]]
+        if "eta_grid" in exp:
+            exp["eta_grid"] = [as_float(e) for e in exp["eta_grid"]]
         if seeds is not None:
-            spec.seeds = list(seeds)
-        elif "seeds" in exp:
-            spec.seeds = [int(s) for s in exp["seeds"]]
+            exp["seeds"] = list(seeds)
+        return ExperimentSpec(config_from_dict(raw.get("env", {})),
+                              hypers_from_dict(raw.get("agent", {})), out_dir=Path(out_dir), **exp)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    return spec
 
 
 # -- rollouts ----------------------------------------------------------------
@@ -157,17 +155,16 @@ def train_dqn(
     return train(SensorEnv(cfg, trace), hypers, episodes, seed)
 
 
-_POLICY_RE = re.compile(r"^(fixed|random|threshold)\(([-0-9.e]+)\)$")
+_POLICY_RE = re.compile(r"^(fixed|random|threshold)\((-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)\)$")
 
 
 def make_baseline(text: str, horizon: int):
     """Parse a policy spec string like fixed(4) / random(0.25) / threshold(0.15)."""
-    m = _POLICY_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"cannot parse policy {text!r}")
+    m = isinstance(text, str) and _POLICY_RE.match(text.strip())
+    require(m, f"cannot parse policy {text!r}")
     kind, arg = m.group(1), float(m.group(2))
     if kind == "fixed":
-        return FixedPolicy(int(arg))
+        return FixedPolicy(int(arg) if arg.is_integer() else arg)
     if kind == "random":
         return RandomPolicy(arg)
     return ThresholdPolicy(arg, horizon=horizon)
@@ -210,8 +207,7 @@ def _dqn_params_per_seed(
                 f"{params.out_dim} values, the environment needs {shape[0]} -> {shape[1]}"
             )
         return {s: params for s in spec.seeds}
-    if not spec.train_missing:
-        raise ConfigError("dqn policy needs a checkpoint or training enabled")
+    require(spec.train_missing, "dqn policy needs a checkpoint or training enabled")
     return {s: r.params for s, r in zip(spec.seeds, _train_per_seed(spec, cfg, trace))}
 
 

@@ -30,7 +30,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_real, require
 from .metrics import fmt, write_csv
 
 CHANNELS = ("temperature", "humidity", "light", "voltage")
@@ -140,8 +140,7 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
     Raises OSError when the file cannot be read and ConfigError when
     delta_t is not a finite number > 0 or no reading survives cleaning.
     """
-    if not (math.isfinite(delta_t) and delta_t > 0):
-        raise ConfigError(f"delta_t must be a finite number > 0, got {delta_t!r}")
+    require(is_real(delta_t) and delta_t > 0, f"delta_t must be a finite number > 0, got {delta_t!r}")
     (t_lo, t_hi), (h_lo, h_hi), (l_lo, l_hi), (v_lo, v_hi) = (PLAUSIBLE[ch] for ch in CHANNELS)
     report = IngestReport()
     readings: list[SensorReading] = []

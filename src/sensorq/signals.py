@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import is_int, is_real, require
 
 KINDS = ("temperature", "humidity", "light", "voltage")
 KIND_INDEX = {k: i for i, k in enumerate(KINDS)}
@@ -51,10 +51,12 @@ class SignalParams:
     min_event_epoch: int = 10
 
     def validate(self) -> None:
-        if self.period < 2 or self.sin_amp < 0 or self.walk_sigma < 0:
-            raise ConfigError("signal needs period >= 2 and non-negative sin_amp, walk_sigma")
-        if self.event_amp < 0 or self.n_events < 0 or self.min_event_epoch < 0:
-            raise ConfigError("signal event parameters must be non-negative")
+        require(is_int(self.period, 2), "signal period must be an integer >= 2")
+        require(is_real(self.sin_amp, 0.0) and is_real(self.walk_sigma, 0.0)
+                and is_real(self.event_amp, 0.0),
+                "signal sin_amp, walk_sigma and event_amp must be numbers >= 0")
+        require(is_int(self.n_events, 0) and is_int(self.min_event_epoch, 0),
+                "signal n_events and min_event_epoch must be integers >= 0")
 
 
 @dataclass

@@ -1,8 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sensorq import metrics
 from sensorq.env import (
+    INTERVAL_SLEEPS,
     OBS_BATTERY,
     OBS_DIM,
     OBS_KIND,
@@ -295,3 +300,38 @@ class TestConfig:
             config_from_dict({"weights": {"info": 0, "energy": 0, "redundancy": 0}})
         with pytest.raises(ConfigError):
             config_from_dict({"sensors": ["plutonium"]})
+
+
+@given(
+    mode=st.sampled_from(["binary", "interval"]),
+    eta=st.sampled_from([0.0, 0.5]),
+    battery=st.sampled_from([0.5, 1.0, 2.3, 6.0]),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+    epochs=st.integers(2, 16),
+    seed=st.integers(0, 2**16),
+)
+def test_invariants_under_random_legal_actions(mode, eta, battery, kinds, epochs, seed):
+    """Battery never goes negative and every mJ drawn is in the ledger; the
+    mask is False exactly for sleeping or empty sensors, and acting on a
+    masked sensor is rejected."""
+    cfg = EnvConfig(sensors=kinds, epochs=epochs, battery_mj=battery, eta=eta, action_mode=mode)
+    env = SensorEnv(cfg)
+    env.reset(seed)
+    rng = np.random.default_rng(seed)
+    awake_at = np.zeros(len(kinds), dtype=int)
+    done = False
+    while not done:
+        e, mask = env.epoch, env.decision_mask.copy()
+        np.testing.assert_array_equal(mask, (awake_at <= e) & (env._battery > 0.0))
+        actions = [int(rng.integers(env.num_actions)) if m else None for m in mask]
+        for j in np.flatnonzero(~mask):  # on a copy: a rejected step keeps its earlier sensors
+            bad = list(actions)
+            bad[j] = SAMPLE
+            with pytest.raises(ValueError):
+                copy.deepcopy(env).step(bad)
+        _, _, done, _ = env.step(actions)
+        assert np.all(env._battery >= 0.0)
+        for i, a in enumerate(actions):
+            if a is not None and mode == "interval":
+                awake_at[i] = e + INTERVAL_SLEEPS[a]
+    np.testing.assert_allclose(battery - env._battery, env._ledger.sum(axis=1), rtol=0, atol=1e-9)

@@ -1,17 +1,24 @@
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorq import metrics, nn
 from sensorq.agent import AgentHyperParams
 from sensorq.baselines import FixedPolicy
-from sensorq.env import EnvConfig, ReplayConfig, SensorEnv
+from sensorq.env import EnvConfig, ReplayConfig, RewardWeights, SensorEnv
 from sensorq.errors import CheckFailure, ConfigError
 from sensorq.experiments import (
+    EXPERIMENT_KEYS,
     ExperimentSpec,
     check_interference,
     check_weight_sweep,
@@ -28,6 +35,7 @@ from sensorq.experiments import (
     train_dqn,
 )
 from sensorq import cli
+from sensorq.signals import SignalParams
 
 
 def tiny_env(**overrides):
@@ -375,10 +383,40 @@ class TestCli:
             {"env": {"drop_prob": -3}},
             {"env": {"detection_window": -5}},
             {"env": {"mode": "replay", "replay": {"path": "trace.txt"}}},
+            # each of these ended in a traceback or ran silently wrong
+            {"agent": {"lr": -1}},
+            {"agent": {"hidden": [-1]}},
+            {"agent": {"eps_start": 2, "eps_min": 0.1}},
+            {"agent": {"batch_size": 8.5, "warmup": 0}},
+            {"agent": {"train_per_step": 1.5, "warmup": 0}},
+            {"agent": {"replay_capacity": 2.5, "warmup": 0}},
+            {"env": {"signal": {"n_events": 1.5}}},
+            {"env": {"signal": {"min_event_epoch": 3.5}}},
+            {"experiment": {"seeds": [-1]}},
+            {"env": {"idle_cost": float("nan")}},
+            {"env": {"battery_mj": float("inf")}, "agent": {"warmup": 10**6},
+             "experiment": {"train_episodes": 1, "seeds": [1]}},
+            {"env": {"detection_window": True}},
+            {"env": {"mode": "replay",
+                     "replay": {"path": "trace.txt", "sensors": [[1, "temperature"]],
+                                "start_slot": True}}},
+            {"experiment": {"seeds": [True]}},
+            {"experiment": {"train_epsiodes": 1}},
+            {"env": {"ranges": {"light": [0, 100]}}},
+            {"env": {"weights": {"infos": 1.0}}},
+            {"agnet": {"lr": 0.01}},
+            {"experiment": {"policies": ["fixed(1-)"]}},
+            {"experiment": {"policies": ["fixed(2.5)"]}},
         ],
         ids=["unknown-agent-key", "signal-period-1", "batch-size-0", "train-episodes-str",
              "weight-str", "epochs-str", "noise-beta-negative", "four-weights",
-             "drop-prob-negative", "detection-window-negative", "replay-without-sensors"],
+             "drop-prob-negative", "detection-window-negative", "replay-without-sensors",
+             "lr-negative", "hidden-negative", "eps-start-2", "batch-size-fraction",
+             "train-per-step-fraction", "replay-capacity-fraction", "n-events-fraction",
+             "min-event-epoch-fraction", "seed-negative", "idle-cost-nan", "battery-inf",
+             "detection-window-true", "start-slot-true", "seed-true", "experiment-key-typo",
+             "ranges-missing-kind", "unknown-weights-key", "unknown-section",
+             "policy-bad-number", "fixed-period-fraction"],
     )
     def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, raw):
         path = tmp_path / "config.json"
@@ -387,6 +425,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+    def test_negative_seed_argument_is_one_line_exit_1(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main(["train", "--config", str(config), "--out", str(out), "--seeds", "-3"])
+        assert code == 1
+        assert capsys.readouterr().err == "configuration error: seeds must be a list of integers >= 0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "experiment, message",
@@ -400,6 +446,16 @@ class TestCli:
         code = cli.main(["train", "--config", str(path), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "sweep-interference"])
+    def test_no_policies_is_one_line_exit_1(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CONFIG_JSON, experiment={"policies": []})))
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "configuration error: need at least one policy\n"
         assert not out.exists()
 
     def test_ingest_undecodable_byte_is_a_skip(self, tmp_path, capsys):
@@ -446,13 +502,14 @@ class TestCli:
         [
             ({"start_slot": -5}, "replay start_slot must be an integer >= 0"),
             ({"start_slot": 2.5}, "replay start_slot must be an integer >= 0"),
+            ({"start_slot": True}, "replay start_slot must be an integer >= 0"),
             ({"start_slot": 4, "end_slot": 4}, "replay end_slot must be null or an integer > start_slot"),
             ({"end_slot": 9.5}, "replay end_slot must be null or an integer > start_slot"),
             ({"min_presence": -1}, "replay min_presence must be a number in [0, 1]"),
             ({"min_presence": 1.5}, "replay min_presence must be a number in [0, 1]"),
             ({"min_presence": float("nan")}, "replay min_presence must be a number in [0, 1]"),
         ],
-        ids=["start-negative", "start-fraction", "end-not-after-start", "end-fraction",
+        ids=["start-negative", "start-fraction", "start-true", "end-not-after-start", "end-fraction",
              "presence-negative", "presence-above-1", "presence-nan"],
     )
     def test_replay_bad_slots_are_one_line_exit_1(self, tmp_path, capsys, fields, message):
@@ -604,3 +661,41 @@ class TestCli:
         record = dict(zip(header, row))
         assert float(record["data_quality"]) == 1.0
         assert abs(float(record["energy_mj"]) - 12 * 1.0) < 1e-9
+
+
+FUZZ_BASE = {
+    "env": {"sensors": ["temperature"], "epochs": 10, "weights": {}, "signal": {},
+            "replay": {"path": "trace.txt", "sensors": [[1, "temperature"]]}},
+    "agent": {"batch_size": 4, "warmup": 4, "replay_capacity": 16, "hidden": [4]},
+    "experiment": {"seeds": [1], "train_episodes": 1, "eval_episodes": 1},
+}
+FUZZ_FIELDS = (
+    [("env", f.name) for f in fields(EnvConfig)]
+    + [("env.weights", f.name) for f in fields(RewardWeights)]
+    + [("env.signal", f.name) for f in fields(SignalParams)]
+    + [("env.replay", f.name) for f in fields(ReplayConfig)]
+    + [("agent", f.name) for f in fields(AgentHyperParams)]
+    + [("experiment", key) for key in EXPERIMENT_KEYS]
+)
+FUZZ_VALUES = [True, False, None, float("nan"), float("inf"), float("-inf"), -1, 0, 2.5, "x", [], {}]
+
+
+@settings(max_examples=len(FUZZ_FIELDS) * len(FUZZ_VALUES))  # about every pair
+@given(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_config_exits_with_a_code_and_at_most_one_line(field, value):
+    """One field of the tiny base config replaced by a hostile value: the run
+    ends in a documented exit code, never a traceback. The replay section is
+    validated but never read, since the base mode stays synthetic."""
+    raw = json.loads(json.dumps(FUZZ_BASE))
+    section = raw
+    for name in field[0].split("."):
+        section = section[name]
+    section[field[1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["train", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
