@@ -87,16 +87,6 @@ class ReplayPool:
         return Batch(self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._done[idx])
 
 
-def bellman_target(r: float, gamma: float, q_next: np.ndarray, done: bool) -> float:
-    """Target value: r when terminal, else r + gamma * max(q_next)."""
-    q_next = np.asarray(q_next, dtype=np.float64)
-    if q_next.size == 0:
-        raise ValueError("q_next must be non-empty")
-    if done:
-        return float(r)
-    return float(r + gamma * q_next.max())
-
-
 def td_loss(
     batch: Batch, online: nn.NetworkParams, target: nn.NetworkParams, gamma: float
 ) -> tuple[float, nn.NetworkParams]:

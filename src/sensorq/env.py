@@ -23,6 +23,13 @@ Two action modes:
 
 Dormant (sleeping) and battery-empty sensors take no decision; callers
 must pass None (or 0 in binary mode) for them, anything else is rejected.
+`step` checks every sensor's action before it applies any, so a step that
+raises ValueError leaves batteries, ledger, samples and clock unchanged.
+
+Both signal sources reduce to the same episode setup: a (num_sensors, T)
+truth matrix and one (low, high) normalization range per sensor (the
+configured channel range, or the series' min and max over a replayed
+trace).
 """
 
 from __future__ import annotations
@@ -217,7 +224,11 @@ class SensorEnv:
         self.config = config
         self.kinds = config.sensor_kinds
         self.num_sensors = len(self.kinds)
-        self.num_actions = 2 if config.action_mode == "binary" else len(INTERVAL_SLEEPS)
+        self._binary = config.action_mode == "binary"
+        self.num_actions = 2 if self._binary else len(INTERVAL_SLEEPS)
+        self._sample_costs = [config.sample_costs[k] for k in self.kinds]
+        self._c_max = config.max_action_cost
+        self._one_hot = np.eye(len(KINDS))[[KIND_INDEX[k] for k in self.kinds]]
         self._trace = trace
         self._windows: list[int] | None = None
         self._epoch = -1  # reset() required before stepping
@@ -226,34 +237,38 @@ class SensorEnv:
 
     def reset(self, seed: int) -> np.ndarray:
         cfg = self.config
-        T = cfg.epochs
+        n, T = self.num_sensors, cfg.epochs
         self._seed = int(seed)
         self._epoch = 0
         self._done = False
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([self._seed, 0xA5]))
-        self._battery = np.full(self.num_sensors, float(cfg.battery_mj))
-        self._last_value = [None] * self.num_sensors
-        self._last_epoch = np.full(self.num_sensors, -1, dtype=int)
-        self._slope = np.zeros(self.num_sensors)
-        self._sleep_until = np.zeros(self.num_sensors, dtype=int)
-        self._samples: list[list[tuple[int, float]]] = [[] for _ in range(self.num_sensors)]
-        self._ledger = np.zeros((self.num_sensors, T))
+        self._battery = np.full(n, float(cfg.battery_mj))
+        self._last_epoch = np.full(n, -1, dtype=int)
+        self._slope = np.zeros(n)
+        self._value_obs = np.full(n, 0.5)  # OBS_VALUE before the first kept sample
+        self._sleep_until = np.zeros(n, dtype=int)
+        self._mask = np.ones(n, dtype=bool)
+        self._samples: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        self._ledger = np.zeros((n, T))
         self._rows: list[tuple] = []
 
         if cfg.mode == "synthetic":
-            self._truth, self._events, self._spans, self._los = [], [], [], []
-            for i, kind in enumerate(self.kinds):
-                lo, hi = cfg.ranges[kind]
-                track = synth_track(kind, T, self._seed * 1_000_003 + i, cfg.signal, (lo, hi))
-                self._truth.append(track.values)
-                self._events.append(track.events)
-                self._spans.append(hi - lo if hi > lo else 1.0)
-                self._los.append(lo)
+            tracks = [synth_track(kind, T, self._seed * 1_000_003 + i, cfg.signal, cfg.ranges[kind])
+                      for i, kind in enumerate(self.kinds)]
+            truth = [t.values for t in tracks]
+            self._events = [t.events for t in tracks]
+            ranges = [cfg.ranges[kind] for kind in self.kinds]
         else:
-            self._reset_replay()
+            truth, ranges = self._reset_replay()
+            self._events = [detect_events(v) for v in truth]
+        self._truth = np.array(truth, dtype=np.float64)
+        self._los = [lo for lo, _ in ranges]
+        self._spans = [hi - lo if hi > lo else 1.0 for lo, hi in ranges]
         return self._observations()
 
-    def _reset_replay(self) -> None:
+    def _reset_replay(self) -> tuple[list[np.ndarray], list[tuple[float, float]]]:
+        """This seed's episode window of every replayed series, with the
+        (min, max) of each series over the whole trace."""
         cfg = self.config
         if self._trace is None:
             self._trace = load_replay_trace(cfg)
@@ -261,16 +276,9 @@ class SensorEnv:
             self._windows = self._usable_windows()
         require(self._windows, "trace has no usable episode windows")
         start = self._windows[self._seed % len(self._windows)]
-        T = cfg.epochs
-        self._truth, self._events, self._spans, self._los = [], [], [], []
-        for mote, kind in cfg.replay.sensors:
-            ms = self._trace[mote]
-            vals = ms.values[kind][start : start + T]
-            lo, hi = ms.stats[kind]
-            self._truth.append(np.asarray(vals, dtype=np.float64))
-            self._events.append([e for e in detect_events(vals)])
-            self._spans.append(hi - lo if hi > lo else 1.0)
-            self._los.append(lo)
+        series = [(self._trace[mote], kind) for mote, kind in cfg.replay.sensors]
+        return ([ms.values[kind][start : start + cfg.epochs] for ms, kind in series],
+                [ms.stats[kind] for ms, kind in series])
 
     def _usable_windows(self) -> list[int]:
         cfg = self.config
@@ -296,21 +304,15 @@ class SensorEnv:
 
     def _observations(self) -> np.ndarray:
         cfg = self.config
-        T = cfg.epochs
-        obs = np.zeros((self.num_sensors, OBS_DIM))
+        obs = np.empty((self.num_sensors, OBS_DIM))
+        obs[:, OBS_VALUE] = self._value_obs
+        obs[:, OBS_TIME] = np.minimum(1.0, (self._epoch - self._last_epoch) / cfg.epochs)
+        obs[:, OBS_SLOPE] = self._slope
+        obs[:, OBS_BATTERY] = self._battery / cfg.battery_mj
         phase = 2.0 * np.pi * self._epoch / cfg.signal.period
-        for i, kind in enumerate(self.kinds):
-            span, lo = self._spans[i], self._los[i]
-            if self._last_value[i] is None:
-                obs[i, OBS_VALUE] = 0.5
-            else:
-                obs[i, OBS_VALUE] = min(1.0, max(0.0, (self._last_value[i] - lo) / span))
-            obs[i, OBS_TIME] = min(1.0, (self._epoch - self._last_epoch[i]) / T)
-            obs[i, OBS_SLOPE] = self._slope[i]
-            obs[i, OBS_BATTERY] = self._battery[i] / cfg.battery_mj
-            obs[i, OBS_SIN] = np.sin(phase)
-            obs[i, OBS_COS] = np.cos(phase)
-            obs[i, OBS_KIND + KIND_INDEX[kind]] = 1.0
+        obs[:, OBS_SIN] = np.sin(phase)
+        obs[:, OBS_COS] = np.cos(phase)
+        obs[:, OBS_KIND:] = self._one_hot
         return obs
 
     @property
@@ -319,87 +321,78 @@ class SensorEnv:
 
     @property
     def decision_mask(self) -> np.ndarray:
-        """True where the policy must supply an action this epoch."""
-        dormant = self._sleep_until > self._epoch
-        empty = self._battery <= 0.0
-        return ~(dormant | empty)
+        """True where the policy must supply an action this epoch: the
+        sensor is neither sleeping nor out of battery."""
+        return self._mask
 
     # -- dynamics ----------------------------------------------------------
 
     def step(self, actions) -> tuple[np.ndarray, np.ndarray, bool, bool]:
         """Apply one action per sensor; returns (rewards, obs, done, truncated)
-        with rewards a float64 array of shape (num_sensors,)."""
+        with rewards a float64 array of shape (num_sensors,).
+
+        Every action is checked before any is applied, so a step that raises
+        ValueError leaves the environment as it was."""
         if self._epoch < 0 or self._done:
             raise ValueError("reset() the environment before stepping")
         if len(actions) != self.num_sensors:
             raise ValueError(f"need {self.num_sensors} actions, got {len(actions)}")
-        cfg = self.config
-        e = self._epoch
-        mask = self.decision_mask
-        c_max = cfg.max_action_cost
-        rewards = []
-        for i, kind in enumerate(self.kinds):
-            action = actions[i]
-            if not mask[i]:
-                if action is not None and not (cfg.action_mode == "binary" and action == SKIP):
+        checked: list[int | None] = []  # None: the sensor is masked and idles
+        for i, (action, free) in enumerate(zip(actions, self._mask)):
+            if not free:
+                if action is not None and not (self._binary and action == SKIP):
                     raise ValueError(f"sensor {i} cannot act this epoch (dormant or empty)")
-                rewards.append(self._apply_skip(i, e, c_max, forced=True))
-                continue
-            if action is None or not 0 <= int(action) < self.num_actions:
+                checked.append(None)
+            elif action is None or not 0 <= int(action) < self.num_actions:
                 raise ValueError(f"sensor {i}: invalid action {action!r}")
-            action = int(action)
-            if cfg.action_mode == "binary" and action == SKIP:
-                rewards.append(self._apply_skip(i, e, c_max, forced=False))
             else:
-                if cfg.action_mode == "interval":
+                checked.append(int(action))
+
+        cfg = self.config
+        w = cfg.weights
+        e = self._epoch
+        rewards = []
+        for i, (action, truth) in enumerate(zip(checked, self._truth[:, e].tolist())):
+            sampling = action is not None and not (self._binary and action == SKIP)
+            cost = self._sample_costs[i] if sampling else cfg.idle_cost
+            drawn = min(self._battery[i], cost)
+            self._battery[i] -= drawn
+            self._ledger[i, e] = drawn
+            gain = duplicate = 0.0
+            kept_value = None
+            if not sampling:
+                label = "idle" if action is None else "skip"
+            else:
+                label = "sample"
+                if not self._binary:
                     self._sleep_until[i] = e + INTERVAL_SLEEPS[action]
-                rewards.append(self._apply_sample(i, kind, e, c_max))
+                span = self._spans[i]
+                measured, kept = inject_interference(
+                    truth, cfg.eta, self._noise_rng, cfg.noise_beta, span, cfg.drop_prob
+                )
+                if kept:
+                    kept_value = float(measured)
+                    samples = self._samples[i]
+                    if not samples:
+                        gain = 1.0  # no reconstruction existed yet: maximal information
+                    else:
+                        prev_epoch, prev_value = samples[-1]
+                        gain = min(1.0, abs(truth - prev_value) / span)
+                        if abs(kept_value - prev_value) < cfg.delta_red * span:
+                            duplicate = 1.0
+                        step_slope = (kept_value - prev_value) / ((e - prev_epoch) * span)
+                        self._slope[i] = (1 - SLOPE_EWMA) * self._slope[i] + SLOPE_EWMA * step_slope
+                    samples.append((e, kept_value))
+                    self._last_epoch[i] = e
+                    self._value_obs[i] = min(1.0, max(0.0, (kept_value - self._los[i]) / span))
+            cost /= self._c_max
+            total = w.info * gain - w.energy * cost - w.redundancy * duplicate
+            self._rows.append((e, i, label, truth, kept_value, gain, cost, duplicate, total))
+            rewards.append(total)
         self._epoch = e + 1
         self._done = self._epoch == cfg.epochs
+        self._mask = (self._sleep_until <= self._epoch) & (self._battery > 0.0)
         return np.array(rewards), self._observations(), self._done, False
-
-    def _record(self, e, i, label, truth, kept, gain, cost, duplicate) -> float:
-        """Reward of one sensor's epoch; logs its terms for the episode CSV."""
-        w = self.config.weights
-        total = w.info * gain - w.energy * cost - w.redundancy * duplicate
-        self._rows.append((e, i, label, truth, kept, gain, cost, duplicate, total))
-        return total
-
-    def _apply_skip(self, i: int, e: int, c_max: float, forced: bool) -> float:
-        drawn = min(self._battery[i], self.config.idle_cost)
-        self._battery[i] -= drawn
-        self._ledger[i, e] = drawn
-        cost = self.config.idle_cost / c_max
-        return self._record(e, i, "idle" if forced else "skip", self._truth[i][e], None, 0.0, cost, 0.0)
-
-    def _apply_sample(self, i: int, kind: str, e: int, c_max: float) -> float:
-        cfg = self.config
-        cost = cfg.sample_costs[kind]
-        drawn = min(self._battery[i], cost)
-        self._battery[i] -= drawn
-        self._ledger[i, e] = drawn
-        truth = float(self._truth[i][e])
-        span = self._spans[i]
-        measured, kept = inject_interference(
-            truth, cfg.eta, self._noise_rng, cfg.noise_beta, span, cfg.drop_prob
-        )
-        gain = duplicate = 0.0
-        kept_value = None
-        if kept:
-            prev_value, prev_epoch = self._last_value[i], self._last_epoch[i]
-            if prev_value is None:
-                gain = 1.0  # no reconstruction existed yet: maximal information
-            else:
-                gain = min(1.0, abs(truth - prev_value) / span)
-                if abs(measured - prev_value) < cfg.delta_red * span:
-                    duplicate = 1.0
-                step_slope = (measured - prev_value) / ((e - prev_epoch) * span)
-                self._slope[i] = (1 - SLOPE_EWMA) * self._slope[i] + SLOPE_EWMA * step_slope
-            self._samples[i].append((e, float(measured)))
-            self._last_value[i] = float(measured)
-            self._last_epoch[i] = e
-            kept_value = float(measured)
-        return self._record(e, i, "sample", truth, kept_value, gain, cost / c_max, duplicate)
 
     # -- episode artifacts ---------------------------------------------------
 
@@ -407,19 +400,11 @@ class SensorEnv:
         """Metrics-ready record of the finished episode."""
         if not self._done:
             raise ValueError("episode still running")
-        sensors = []
-        for i in range(self.num_sensors):
-            lo = self._los[i]
-            sensors.append(
-                metrics.SensorLog(
-                    self._truth[i],
-                    list(self._samples[i]),
-                    self._ledger[i],
-                    list(self._events[i]),
-                    (lo, lo + self._spans[i]),
-                )
-            )
-        return metrics.EpisodeLog(sensors)
+        return metrics.EpisodeLog([
+            metrics.SensorLog(truth, list(samples), ledger, list(events), (lo, lo + span))
+            for truth, samples, ledger, events, lo, span
+            in zip(self._truth, self._samples, self._ledger, self._events, self._los, self._spans)
+        ])
 
     def write_episode_csv(self, path) -> None:
         """Dump the per-epoch trace (actions, values, reward terms)."""

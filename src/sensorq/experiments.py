@@ -70,6 +70,7 @@ class ExperimentSpec:
         require(isinstance(self.seeds, (list, tuple)) and all(is_int(s, 0) for s in self.seeds),
                 "seeds must be a list of integers >= 0")
         require(self.seeds, "need at least one seed")
+        require(len(set(self.seeds)) == len(self.seeds), "seeds must be distinct")
         require(is_int(self.train_episodes, 0) and is_int(self.eval_episodes, 1),
                 "bad episode counts")
         require(isinstance(self.policies, list), "policies must be a list of policy strings")
@@ -77,6 +78,9 @@ class ExperimentSpec:
         for text in self.policies:  # fail before any training
             if text != "dqn":
                 make_baseline(text, self.env.epochs)
+                # only compare and the interference sweep evaluate baselines
+                require(self.env.action_mode == "binary" or kind in ("train", "weight-sweep"),
+                        f"policy {text} needs action_mode binary; interval mode runs only dqn")
         for triple in self.weight_triples:
             require(len(triple) == 3, f"weight triple {list(triple)} needs three weights")
             RewardWeights(*triple).validate()

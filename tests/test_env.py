@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -88,6 +86,22 @@ class TestStep:
             env.step([SAMPLE])
         env.step([SKIP])  # forced skip accepted, draws nothing
         assert env._battery[0] == 0.0
+
+    def test_rejected_step_changes_nothing(self):
+        cfg = small_config(sensors=["temperature", "voltage"], battery_mj=3.0)
+        env = SensorEnv(cfg)
+        env.reset(0)
+        while env.decision_mask[1]:  # voltage samples its battery empty
+            env.step([SKIP, SAMPLE])
+        battery, ledger = env._battery.copy(), env._ledger.copy()
+        samples, epoch = [list(s) for s in env._samples], env.epoch
+        with pytest.raises(ValueError):
+            env.step([SAMPLE, SAMPLE])  # temperature is checked and valid; voltage is not
+        np.testing.assert_array_equal(env._battery, battery)
+        np.testing.assert_array_equal(env._ledger, ledger)
+        assert env._samples == samples and env.epoch == epoch
+        env.step([SAMPLE, SKIP])
+        np.testing.assert_allclose(cfg.battery_mj - env._battery, env._ledger.sum(axis=1), atol=1e-12)
 
     def test_episode_runs_exactly_t_steps(self):
         cfg = small_config(epochs=7)
@@ -324,11 +338,11 @@ def test_invariants_under_random_legal_actions(mode, eta, battery, kinds, epochs
         e, mask = env.epoch, env.decision_mask.copy()
         np.testing.assert_array_equal(mask, (awake_at <= e) & (env._battery > 0.0))
         actions = [int(rng.integers(env.num_actions)) if m else None for m in mask]
-        for j in np.flatnonzero(~mask):  # on a copy: a rejected step keeps its earlier sensors
+        for j in np.flatnonzero(~mask):
             bad = list(actions)
             bad[j] = SAMPLE
             with pytest.raises(ValueError):
-                copy.deepcopy(env).step(bad)
+                env.step(bad)
         _, _, done, _ = env.step(actions)
         assert np.all(env._battery >= 0.0)
         for i, a in enumerate(actions):

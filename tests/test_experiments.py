@@ -436,8 +436,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "experiment, message",
-        [({"train_episodes": -5}, "bad episode counts"), ({"seeds": []}, "need at least one seed")],
-        ids=["negative-episodes", "no-seeds"],
+        [({"train_episodes": -5}, "bad episode counts"), ({"seeds": []}, "need at least one seed"),
+         ({"seeds": [1, 1]}, "seeds must be distinct")],
+        ids=["negative-episodes", "no-seeds", "duplicate-seeds"],
     )
     def test_train_validates_spec_first(self, tmp_path, capsys, experiment, message):
         path = tmp_path / "config.json"
@@ -448,14 +449,23 @@ class TestCli:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["compare", "sweep-interference"])
-    def test_no_policies_is_one_line_exit_1(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, action_mode, policies, message",
+        [("compare", "binary", [], "need at least one policy"),
+         ("sweep-interference", "binary", [], "need at least one policy"),
+         ("compare", "interval", ["dqn", "fixed(1)"],
+          "policy fixed(1) needs action_mode binary; interval mode runs only dqn")],
+        ids=["compare", "sweep-interference", "interval-baseline"],
+    )
+    def test_no_policies_is_one_line_exit_1(self, tmp_path, capsys, command, action_mode,
+                                            policies, message):
+        env = dict(CONFIG_JSON["env"], action_mode=action_mode)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict(CONFIG_JSON, experiment={"policies": []})))
+        path.write_text(json.dumps(dict(CONFIG_JSON, env=env, experiment={"policies": policies})))
         out = tmp_path / "out"
         code = cli.main([command, "--config", str(path), "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "configuration error: need at least one policy\n"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
     def test_ingest_undecodable_byte_is_a_skip(self, tmp_path, capsys):
