@@ -152,8 +152,10 @@ class AgentHyperParams:
         require(is_real(self.eps_min, 0.0, self.eps_start), "eps_min must lie in [0, eps_start]")
         require(is_real(self.lr) and self.lr > 0, "lr must be a number > 0")
         require(is_int(self.batch_size, 1), "batch_size must be an integer >= 1")
-        require(all(is_int(n, 0) for n in (self.replay_capacity, self.warmup, self.train_per_step)),
-                "replay_capacity, warmup and train_per_step must be integers >= 0")
+        require(is_int(self.replay_capacity, self.batch_size),
+                "replay_capacity must be an integer >= batch_size")
+        require(all(is_int(n, 0) for n in (self.warmup, self.train_per_step)),
+                "warmup and train_per_step must be integers >= 0")
         require(isinstance(self.hidden, (list, tuple)) and all(is_int(n, 1) for n in self.hidden),
                 "hidden must be a list of integers >= 1")
         require(self.hard_copy_every is None or is_int(self.hard_copy_every, 0),
@@ -195,7 +197,7 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
     online = nn.init_network(sizes, np.random.default_rng(init_ss))
     target = online.copy()
     opt = nn.adam_init(online, step_size=hypers.lr)
-    pool = ReplayPool(max(hypers.replay_capacity, 1), env.obs_dim)
+    pool = ReplayPool(hypers.replay_capacity, env.obs_dim)
     action_rng = np.random.default_rng(action_ss)
     replay_rng = np.random.default_rng(replay_ss)
 

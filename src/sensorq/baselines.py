@@ -1,9 +1,9 @@
 """Non-learning sampling policies and the greedy Q-network policy.
 
 All policies share one protocol: `reset(rng)` at episode start, then
-`act(obs, epoch, mask, num_actions)` returning one action per sensor
-(None where the mask forbids deciding). The non-learning baselines only
-make sense in binary action mode.
+`act(obs, epoch, mask, num_actions)` returning one Python int action per
+sensor (None where the bool array mask forbids deciding). The
+non-learning baselines only make sense in binary action mode.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class FixedPolicy:
 
     def act(self, obs, epoch, mask, num_actions):
         want = SAMPLE if epoch % self.period == 0 else SKIP
-        return [want if m else None for m in mask]
+        return [want if m else None for m in mask.tolist()]
 
 
 class RandomPolicy:
@@ -44,10 +44,8 @@ class RandomPolicy:
         self._rng = rng
 
     def act(self, obs, epoch, mask, num_actions):
-        draws = self._rng.random(len(mask))
-        return [
-            (SAMPLE if d < self.q else SKIP) if m else None for m, d in zip(mask, draws)
-        ]
+        draws = self._rng.random(len(mask)).tolist()
+        return [(SAMPLE if d < self.q else SKIP) if m else None for m, d in zip(mask.tolist(), draws)]
 
 
 class ThresholdPolicy:
@@ -68,15 +66,9 @@ class ThresholdPolicy:
         pass
 
     def act(self, obs, epoch, mask, num_actions):
-        actions = []
-        for i, m in enumerate(mask):
-            if not m:
-                actions.append(None)
-                continue
-            gap = obs[i, OBS_TIME] * self.horizon
-            drift = abs(obs[i, OBS_SLOPE]) * gap
-            actions.append(SAMPLE if drift > self.threshold or gap >= PROBE_CAP else SKIP)
-        return actions
+        gaps = [time * self.horizon for time in obs[:, OBS_TIME].tolist()]
+        return [(SAMPLE if abs(slope) * gap > self.threshold or gap >= PROBE_CAP else SKIP)
+                if m else None for m, gap, slope in zip(mask.tolist(), gaps, obs[:, OBS_SLOPE].tolist())]
 
 
 class GreedyQPolicy:
@@ -89,6 +81,6 @@ class GreedyQPolicy:
         pass
 
     def act(self, obs, epoch, mask, num_actions):
-        q = nn.forward_batch(self.params, obs)
-        return [int(np.argmax(q[i])) if m else None for i, m in enumerate(mask)]
+        best = nn.forward_batch(self.params, obs).argmax(axis=1).tolist()
+        return [a if m else None for a, m in zip(best, mask.tolist())]
 

@@ -23,8 +23,11 @@ Two action modes:
 
 Dormant (sleeping) and battery-empty sensors take no decision; callers
 must pass None (or 0 in binary mode) for them, anything else is rejected.
-`step` checks every sensor's action before it applies any, so a step that
-raises ValueError leaves batteries, ledger, samples and clock unchanged.
+Every other sensor needs a Python int in [0, num_actions): a bool, float
+or numpy integer is rejected, not truncated. `step` checks every sensor's
+action before it applies any, so a step that raises ValueError leaves
+batteries, ledger, samples and clock unchanged. Per-sensor state lives in
+Python lists, which `step` reads and writes one sensor at a time.
 
 Both signal sources reduce to the same episode setup: a (num_sensors, T)
 truth matrix and one (low, high) normalization range per sensor (the
@@ -228,7 +231,10 @@ class SensorEnv:
         self.num_actions = 2 if self._binary else len(INTERVAL_SLEEPS)
         self._sample_costs = [config.sample_costs[k] for k in self.kinds]
         self._c_max = config.max_action_cost
-        self._one_hot = np.eye(len(KINDS))[[KIND_INDEX[k] for k in self.kinds]]
+        one_hot = np.eye(len(KINDS))[[KIND_INDEX[k] for k in self.kinds]]
+        self._obs_template = np.hstack([np.zeros((self.num_sensors, OBS_KIND)), one_hot])
+        phases = [2.0 * np.pi * e / config.signal.period for e in range(config.epochs + 1)]
+        self._clock = [(float(np.sin(p)), float(np.cos(p))) for p in phases]  # OBS_SIN, OBS_COS
         self._trace = trace
         self._windows: list[int] | None = None
         self._epoch = -1  # reset() required before stepping
@@ -242,12 +248,12 @@ class SensorEnv:
         self._epoch = 0
         self._done = False
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([self._seed, 0xA5]))
-        self._battery = np.full(n, float(cfg.battery_mj))
-        self._last_epoch = np.full(n, -1, dtype=int)
-        self._slope = np.zeros(n)
-        self._value_obs = np.full(n, 0.5)  # OBS_VALUE before the first kept sample
-        self._sleep_until = np.zeros(n, dtype=int)
-        self._mask = np.ones(n, dtype=bool)
+        self._battery = [float(cfg.battery_mj)] * n
+        self._last_epoch = [-1] * n
+        self._slope = [0.0] * n
+        self._value_obs = [0.5] * n  # OBS_VALUE before the first kept sample
+        self._sleep_until = [0] * n
+        self._free = [True] * n  # the decision mask
         self._samples: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         self._ledger = np.zeros((n, T))
         self._rows: list[tuple] = []
@@ -303,16 +309,12 @@ class SensorEnv:
     # -- observations ------------------------------------------------------
 
     def _observations(self) -> np.ndarray:
-        cfg = self.config
-        obs = np.empty((self.num_sensors, OBS_DIM))
-        obs[:, OBS_VALUE] = self._value_obs
-        obs[:, OBS_TIME] = np.minimum(1.0, (self._epoch - self._last_epoch) / cfg.epochs)
-        obs[:, OBS_SLOPE] = self._slope
-        obs[:, OBS_BATTERY] = self._battery / cfg.battery_mj
-        phase = 2.0 * np.pi * self._epoch / cfg.signal.period
-        obs[:, OBS_SIN] = np.sin(phase)
-        obs[:, OBS_COS] = np.cos(phase)
-        obs[:, OBS_KIND:] = self._one_hot
+        e, T, full = self._epoch, self.config.epochs, self.config.battery_mj
+        sin, cos = self._clock[e]
+        obs = self._obs_template.copy()  # one-hot set; fill OBS_VALUE .. OBS_COS in order
+        obs[:, :OBS_KIND] = [[value, min(1.0, (e - last) / T), slope, b / full, sin, cos]
+                             for value, last, slope, b in
+                             zip(self._value_obs, self._last_epoch, self._slope, self._battery)]
         return obs
 
     @property
@@ -323,7 +325,7 @@ class SensorEnv:
     def decision_mask(self) -> np.ndarray:
         """True where the policy must supply an action this epoch: the
         sensor is neither sleeping nor out of battery."""
-        return self._mask
+        return np.array(self._free)
 
     # -- dynamics ----------------------------------------------------------
 
@@ -337,42 +339,38 @@ class SensorEnv:
             raise ValueError("reset() the environment before stepping")
         if len(actions) != self.num_sensors:
             raise ValueError(f"need {self.num_sensors} actions, got {len(actions)}")
-        checked: list[int | None] = []  # None: the sensor is masked and idles
-        for i, (action, free) in enumerate(zip(actions, self._mask)):
-            if not free:
-                if action is not None and not (self._binary and action == SKIP):
-                    raise ValueError(f"sensor {i} cannot act this epoch (dormant or empty)")
-                checked.append(None)
-            elif action is None or not 0 <= int(action) < self.num_actions:
+        for i, (action, free) in enumerate(zip(actions, self._free)):
+            if free and not (is_int(action, 0) and action < self.num_actions):
                 raise ValueError(f"sensor {i}: invalid action {action!r}")
-            else:
-                checked.append(int(action))
+            if not (free or action is None or self._binary and is_int(action, 0) and action == SKIP):
+                raise ValueError(f"sensor {i} cannot act this epoch (dormant or empty)")
+        checked = [action if free else None for action, free in zip(actions, self._free)]  # None idles
 
         cfg = self.config
-        w = cfg.weights
+        info_w, energy_w, redundancy_w = cfg.weights.as_tuple()
         e = self._epoch
-        rewards = []
-        for i, (action, truth) in enumerate(zip(checked, self._truth[:, e].tolist())):
-            sampling = action is not None and not (self._binary and action == SKIP)
+        battery, binary = self._battery, self._binary
+        rewards, drawn_mj = [], []
+        for i, (action, truth, span, samples) in enumerate(
+                zip(checked, self._truth[:, e].tolist(), self._spans, self._samples)):
+            sampling = action is not None and not (binary and action == SKIP)
             cost = self._sample_costs[i] if sampling else cfg.idle_cost
-            drawn = min(self._battery[i], cost)
-            self._battery[i] -= drawn
-            self._ledger[i, e] = drawn
+            drawn = min(battery[i], cost)
+            battery[i] -= drawn
+            drawn_mj.append(drawn)
             gain = duplicate = 0.0
             kept_value = None
             if not sampling:
                 label = "idle" if action is None else "skip"
             else:
                 label = "sample"
-                if not self._binary:
+                if not binary:
                     self._sleep_until[i] = e + INTERVAL_SLEEPS[action]
-                span = self._spans[i]
                 measured, kept = inject_interference(
                     truth, cfg.eta, self._noise_rng, cfg.noise_beta, span, cfg.drop_prob
                 )
                 if kept:
                     kept_value = float(measured)
-                    samples = self._samples[i]
                     if not samples:
                         gain = 1.0  # no reconstruction existed yet: maximal information
                     else:
@@ -386,12 +384,13 @@ class SensorEnv:
                     self._last_epoch[i] = e
                     self._value_obs[i] = min(1.0, max(0.0, (kept_value - self._los[i]) / span))
             cost /= self._c_max
-            total = w.info * gain - w.energy * cost - w.redundancy * duplicate
+            total = info_w * gain - energy_w * cost - redundancy_w * duplicate
             self._rows.append((e, i, label, truth, kept_value, gain, cost, duplicate, total))
             rewards.append(total)
-        self._epoch = e + 1
-        self._done = self._epoch == cfg.epochs
-        self._mask = (self._sleep_until <= self._epoch) & (self._battery > 0.0)
+        self._ledger[:, e] = drawn_mj
+        self._epoch = e = e + 1
+        self._done = e == cfg.epochs
+        self._free = [until <= e and b > 0.0 for until, b in zip(self._sleep_until, battery)]
         return np.array(rewards), self._observations(), self._done, False
 
     # -- episode artifacts ---------------------------------------------------

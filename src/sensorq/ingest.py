@@ -31,7 +31,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import ConfigError, is_real, require
-from .metrics import fmt, write_csv
+from .metrics import fmt, hold_index, write_csv
 
 CHANNELS = ("temperature", "humidity", "light", "voltage")
 
@@ -200,10 +200,7 @@ def hold_fill(series: MoteSeries) -> MoteSeries:
     first present value). Presence flags are preserved for the record."""
     if not series.present.any():
         raise ConfigError(f"mote {series.mote}: series has no present slots")
-    idx = np.where(series.present, np.arange(len(series.present)), -1)
-    last = np.maximum.accumulate(idx)
-    first_present = int(np.argmax(series.present))
-    last[last < 0] = first_present
+    last = hold_index(series.present)
     filled = {ch: series.values[ch][last] for ch in CHANNELS}
     return MoteSeries(series.mote, filled, series.present.copy(), dict(series.stats))
 

@@ -1,9 +1,11 @@
 """Episode scoring: reconstruction quality, energy, redundancy, detection.
 
-All four metrics are computed per sensor from an EpisodeLog and averaged
-with equal weight. Reconstruction uses zero-order hold (each kept sample
-held until the next; epochs before the first sample are back-filled with
-it), the same model the environment's information-gain reward uses.
+All four metrics are computed per sensor from an EpisodeLog, as array
+operations on its kept epochs and values, and averaged with equal weight.
+Reconstruction is a zero-order hold (each kept value held until the next,
+epochs before the first sample take the first), the same model the env's
+information-gain reward uses. Redundancy counts small steps in np.diff of
+the kept values; detection is two np.searchsorted calls per sensor.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class SensorLog:
     (epoch, value) pairs with strictly increasing epochs, energy the
     per-epoch millijoules actually drawn (length T), events the
     ground-truth event epochs, value_range the (lo, hi) used for
-    normalization.
+    normalization. kept_epochs and kept_values hold samples as two arrays.
     """
 
     truth: np.ndarray
@@ -37,9 +39,11 @@ class SensorLog:
         self.energy = np.asarray(self.energy, dtype=np.float64)
         if self.energy.shape != self.truth.shape:
             raise ValueError("energy ledger length must equal the episode length")
-        epochs = [e for e, _ in self.samples]
-        if any(b <= a for a, b in zip(epochs, epochs[1:])):
-            raise ValueError("kept-sample epochs must be strictly increasing")
+        self.kept_epochs = np.array([e for e, _ in self.samples], dtype=np.int64)
+        self.kept_values = np.array([v for _, v in self.samples], dtype=np.float64)
+        e = self.kept_epochs
+        if len(e) and ((e[1:] <= e[:-1]).any() or e[0] < 0 or e[-1] >= len(self.truth)):
+            raise ValueError("kept-sample epochs must be strictly increasing and inside the episode")
 
     @property
     def span(self) -> float:
@@ -83,16 +87,28 @@ class MetricsReport:
     detection_std: float = 0.0
 
 
-def zoh_reconstruct(length: int, samples: list[tuple[int, float]]) -> np.ndarray | None:
-    """Hold each kept value until the next sample; None when no samples."""
-    if not samples:
+def hold_index(present: np.ndarray) -> np.ndarray:
+    """The index of the last True at or before each position; positions
+    before the first True take the first (present needs at least one)."""
+    idx = np.maximum.accumulate(np.where(present, np.arange(len(present)), -1))
+    idx[idx < 0] = np.argmax(present)
+    return idx
+
+
+def zoh_hold(length: int, epochs: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """Hold each kept value until the next kept epoch; epochs before the
+    first take the first value. None when nothing was kept."""
+    if not len(epochs):
         return None
-    out = np.empty(length, dtype=np.float64)
-    out[: samples[0][0] + 1] = samples[0][1]  # back-fill before first sample
-    for (e, v), (e2, _) in zip(samples, samples[1:]):
-        out[e : e2] = v
-    out[samples[-1][0] :] = samples[-1][1]
-    return out
+    at, present = np.zeros(length, dtype=np.float64), np.zeros(length, dtype=bool)
+    at[epochs], present[epochs] = values, True
+    return at[hold_index(present)]
+
+
+def zoh_reconstruct(length: int, samples: list[tuple[int, float]]) -> np.ndarray | None:
+    """zoh_hold of (epoch, value) pairs; None when no samples."""
+    epochs, values = np.array(samples, dtype=np.float64).reshape(-1, 2).T
+    return zoh_hold(length, epochs.astype(np.int64), values)
 
 
 def data_quality(log: EpisodeLog) -> float:
@@ -102,7 +118,7 @@ def data_quality(log: EpisodeLog) -> float:
     """
     scores = []
     for s in log.sensors:
-        recon = zoh_reconstruct(len(s.truth), s.samples)
+        recon = zoh_hold(len(s.truth), s.kept_epochs, s.kept_values)
         if recon is None:
             scores.append(0.0)
             continue
@@ -120,13 +136,9 @@ def redundancy_rate(log: EpisodeLog, delta_red: float) -> float:
     """Percent of kept samples nearly identical to their predecessor."""
     rates = []
     for s in log.sensors:
-        if len(s.samples) <= 1:
-            rates.append(0.0)
-            continue
-        thresh = delta_red * s.span
-        values = [v for _, v in s.samples]
-        dup = sum(abs(b - a) < thresh for a, b in zip(values, values[1:]))
-        rates.append(100.0 * dup / len(values))
+        values = s.kept_values
+        dup = np.count_nonzero(np.abs(np.diff(values)) < delta_red * s.span)
+        rates.append(100.0 * dup / len(values) if len(values) > 1 else 0.0)
     return float(np.mean(rates))
 
 
@@ -135,12 +147,10 @@ def event_detection_rate(log: EpisodeLog, window: int) -> float:
     100 when a sensor saw no events."""
     rates = []
     for s in log.sensors:
-        if not s.events:
-            rates.append(100.0)
-            continue
-        epochs = [e for e, _ in s.samples]
-        hit = sum(any(ev <= e <= ev + window for e in epochs) for ev in s.events)
-        rates.append(100.0 * hit / len(s.events))
+        kept, events = s.kept_epochs, np.asarray(s.events, dtype=np.int64)
+        # an event is hit when a kept epoch lies in [event, event + window]
+        hit = np.searchsorted(kept, events + window, "right") > np.searchsorted(kept, events)
+        rates.append(100.0 * np.count_nonzero(hit) / len(events) if len(events) else 100.0)
     return float(np.mean(rates))
 
 

@@ -91,17 +91,24 @@ class TestStep:
         cfg = small_config(sensors=["temperature", "voltage"], battery_mj=3.0)
         env = SensorEnv(cfg)
         env.reset(0)
+        for bad in ([0.9, True], [1.5, 1], [SKIP, True]):  # not truncated to an int
+            with pytest.raises(ValueError):
+                env.step(bad)
+        assert env.epoch == 0 and env._samples == [[], []] and not env._ledger.any()
         while env.decision_mask[1]:  # voltage samples its battery empty
             env.step([SKIP, SAMPLE])
         battery, ledger = env._battery.copy(), env._ledger.copy()
         samples, epoch = [list(s) for s in env._samples], env.epoch
-        with pytest.raises(ValueError):
-            env.step([SAMPLE, SAMPLE])  # temperature is checked and valid; voltage is not
-        np.testing.assert_array_equal(env._battery, battery)
-        np.testing.assert_array_equal(env._ledger, ledger)
-        assert env._samples == samples and env.epoch == epoch
+        # [SAMPLE, SAMPLE]: temperature is checked and valid; voltage is not
+        for bad in ([SAMPLE, SAMPLE], [0.9, True], [1.5, 1], [SKIP, False], [SKIP, 0.0]):
+            with pytest.raises(ValueError):
+                env.step(bad)
+            np.testing.assert_array_equal(env._battery, battery)
+            np.testing.assert_array_equal(env._ledger, ledger)
+            assert env._samples == samples and env.epoch == epoch
         env.step([SAMPLE, SKIP])
-        np.testing.assert_allclose(cfg.battery_mj - env._battery, env._ledger.sum(axis=1), atol=1e-12)
+        np.testing.assert_allclose(cfg.battery_mj - np.asarray(env._battery), env._ledger.sum(axis=1),
+                                   atol=1e-12)
 
     def test_episode_runs_exactly_t_steps(self):
         cfg = small_config(epochs=7)
@@ -160,8 +167,8 @@ class TestStep:
         while not done:
             acts = [int(rng.integers(2)) if m else SKIP for m in env.decision_mask]
             _, _, done, _ = env.step(acts)
-            assert np.all(env._battery <= prev + 1e-15)
-            assert np.all(env._battery >= 0.0)
+            assert np.all(np.asarray(env._battery) <= np.asarray(prev) + 1e-15)
+            assert np.all(np.asarray(env._battery) >= 0.0)
             prev = env._battery.copy()
 
 
@@ -336,7 +343,7 @@ def test_invariants_under_random_legal_actions(mode, eta, battery, kinds, epochs
     done = False
     while not done:
         e, mask = env.epoch, env.decision_mask.copy()
-        np.testing.assert_array_equal(mask, (awake_at <= e) & (env._battery > 0.0))
+        np.testing.assert_array_equal(mask, (awake_at <= e) & (np.asarray(env._battery) > 0.0))
         actions = [int(rng.integers(env.num_actions)) if m else None for m in mask]
         for j in np.flatnonzero(~mask):
             bad = list(actions)
@@ -344,8 +351,8 @@ def test_invariants_under_random_legal_actions(mode, eta, battery, kinds, epochs
             with pytest.raises(ValueError):
                 env.step(bad)
         _, _, done, _ = env.step(actions)
-        assert np.all(env._battery >= 0.0)
+        assert np.all(np.asarray(env._battery) >= 0.0)
         for i, a in enumerate(actions):
             if a is not None and mode == "interval":
                 awake_at[i] = e + INTERVAL_SLEEPS[a]
-    np.testing.assert_allclose(battery - env._battery, env._ledger.sum(axis=1), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(battery - np.asarray(env._battery), env._ledger.sum(axis=1), rtol=0, atol=1e-9)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from sensorq import metrics, nn
 from sensorq.agent import AgentHyperParams
-from sensorq.baselines import FixedPolicy
-from sensorq.env import EnvConfig, ReplayConfig, RewardWeights, SensorEnv
+from sensorq.baselines import FixedPolicy, GreedyQPolicy, RandomPolicy, ThresholdPolicy
+from sensorq.env import OBS_DIM, EnvConfig, ReplayConfig, RewardWeights, SensorEnv
 from sensorq.errors import CheckFailure, ConfigError
 from sensorq.experiments import (
     EXPERIMENT_KEYS,
@@ -122,6 +122,27 @@ class TestRollout:
         assert row.policy == "fixed(1)"
         assert row.quality == 1.0  # noiseless, sampled every epoch
         assert abs(row.energy_mj - 10 * cfg.sample_costs["temperature"]) < 1e-12
+
+    def test_greedy_q_ties_pick_action_0_as_python_ints(self):
+        params = nn.init_network([OBS_DIM, 4, 2], 0)
+        params.flat[:] = 0.0  # every Q-value is 0
+        env = SensorEnv(tiny_env(sensors=["temperature", "light", "voltage"]))
+        obs = env.reset(0)
+        actions = GreedyQPolicy(params).act(obs, env.epoch, env.decision_mask, env.num_actions)
+        assert actions == [0, 0, 0] and all(type(a) is int for a in actions)
+
+    def test_every_policy_returns_python_ints(self):
+        env = SensorEnv(tiny_env(sensors=["temperature", "light"], epochs=30))
+        policies = [FixedPolicy(3), RandomPolicy(0.5), ThresholdPolicy(0.05, 30),
+                    GreedyQPolicy(nn.init_network([OBS_DIM, 4, 2], 1))]
+        for policy in policies:
+            obs = env.reset(5)
+            policy.reset(np.random.default_rng(5))
+            done = False
+            while not done:
+                actions = policy.act(obs, env.epoch, env.decision_mask, env.num_actions)
+                assert all(type(a) is int for a in actions), (policy, actions)
+                _, obs, done, _ = env.step(actions)
 
     def test_make_baseline_parsing(self):
         assert make_baseline("fixed(4)", 100).period == 4
@@ -407,6 +428,8 @@ class TestCli:
             {"agnet": {"lr": 0.01}},
             {"experiment": {"policies": ["fixed(1-)"]}},
             {"experiment": {"policies": ["fixed(2.5)"]}},
+            {"agent": {"replay_capacity": 10}},
+            {"agent": {"replay_capacity": 0}},
         ],
         ids=["unknown-agent-key", "signal-period-1", "batch-size-0", "train-episodes-str",
              "weight-str", "epochs-str", "noise-beta-negative", "four-weights",
@@ -416,7 +439,8 @@ class TestCli:
              "min-event-epoch-fraction", "seed-negative", "idle-cost-nan", "battery-inf",
              "detection-window-true", "start-slot-true", "seed-true", "experiment-key-typo",
              "ranges-missing-kind", "unknown-weights-key", "unknown-section",
-             "policy-bad-number", "fixed-period-fraction"],
+             "policy-bad-number", "fixed-period-fraction", "replay-capacity-below-batch",
+             "replay-capacity-0"],
     )
     def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, raw):
         path = tmp_path / "config.json"

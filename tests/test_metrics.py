@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sensorq import metrics
 from sensorq.metrics import EpisodeLog, MetricsRow, SensorLog, aggregate
 
-from oracles import naive_detection, naive_quality, naive_redundancy
+from oracles import naive_detection, naive_quality, naive_redundancy, zoh_series
 
 
 def make_log(truth, samples, energy=None, events=(), value_range=(0.0, 1.0)):
@@ -174,6 +176,11 @@ class TestLogValidation:
         with pytest.raises(ValueError):
             make_log(np.zeros(4), [(2, 0.0), (2, 1.0)])
 
+    def test_epochs_outside_the_episode_rejected(self):
+        for samples in ([(-1, 0.0)], [(4, 0.0)], [(1, 0.0), (4, 0.0)]):
+            with pytest.raises(ValueError):
+                make_log(np.zeros(4), samples)
+
     def test_ledger_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SensorLog(np.zeros(4), [], np.zeros(3), [], (0.0, 1.0))
@@ -186,3 +193,43 @@ class TestLogValidation:
             assert metrics.energy_total(log) >= 0.0
             assert 0.0 <= metrics.redundancy_rate(log, 0.05) <= 100.0
             assert 0.0 <= metrics.event_detection_rate(log, 2) <= 100.0
+
+
+DELTA_RED = 0.05
+
+
+@st.composite
+def oracle_cases(draw):
+    """(truth, samples, events, window, value_range). Kept values mix free
+    floats with multiples of the redundancy threshold, so that steps of
+    exactly delta_red * span occur."""
+    T = draw(st.integers(1, 40))
+    lo = draw(st.sampled_from([0.0, -3.0, 10.0]))
+    hi = lo + draw(st.sampled_from([0.0, 0.5, 1.0, 7.0]))  # 0: the degenerate-range guard
+    step = DELTA_RED * ((hi - lo) if hi > lo else 1.0)
+    value = st.one_of(st.sampled_from([0.0, step, 2 * step, -step]), st.floats(-20.0, 20.0))
+    epochs = sorted(draw(st.sets(st.integers(0, T - 1), max_size=T)))
+    samples = [(e, draw(value)) for e in epochs]
+    truth = draw(st.lists(st.floats(-20.0, 20.0), min_size=T, max_size=T))
+    events = sorted(draw(st.sets(st.integers(0, T - 1), max_size=4)))
+    return truth, samples, events, draw(st.integers(0, 4)), (lo, hi)
+
+
+@given(oracle_cases())
+@example(([1.0, 2.0, 3.0], [], [2], 0, (0.0, 1.0)))  # no samples; an event at T-1
+@example(([0.0, 5.0, 1.0, 2.0], [(2, 1.0)], [0, 3], 0, (0.0, 5.0)))  # one sample after epoch 0
+@example(([0.0] * 5, [(0, 0.0), (1, 0.05), (3, 0.1), (4, 0.1)], [4], 0, (0.0, 1.0)))  # steps of exactly 0.05
+def test_array_metrics_match_the_loop_oracles(case):
+    """Zero-order hold, redundancy and detection equal the loop oracles
+    exactly; quality agrees within 1e-9, since the oracle sums one term at
+    a time."""
+    truth, samples, events, window, value_range = case
+    log = make_log(truth, samples, events=events, value_range=value_range)
+    s = log.sensors[0]
+    held = zoh_series(len(truth), samples)
+    for recon in (metrics.zoh_hold(len(truth), s.kept_epochs, s.kept_values),
+                  metrics.zoh_reconstruct(len(truth), samples)):
+        assert (None if recon is None else recon.tolist()) == held
+    assert metrics.redundancy_rate(log, DELTA_RED) == naive_redundancy(samples, DELTA_RED, s.span)
+    assert metrics.event_detection_rate(log, window) == naive_detection(events, samples, window)
+    assert abs(metrics.data_quality(log) - naive_quality(truth, samples, s.span)) < 1e-9
