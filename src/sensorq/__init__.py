@@ -10,4 +10,4 @@ __version__ = "0.1.0"
 from .agent import AgentHyperParams, ReplayPool, train  # noqa: E402,F401
 from .env import EnvConfig, RewardWeights, SensorEnv  # noqa: E402,F401
 from .errors import CheckFailure, ConfigError  # noqa: E402,F401
-from .metrics import EpisodeLog, MetricsReport, SensorLog  # noqa: E402,F401
+from .metrics import EpisodeLog, MetricsReport  # noqa: E402,F401

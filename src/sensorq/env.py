@@ -26,8 +26,11 @@ must pass None (or 0 in binary mode) for them, anything else is rejected.
 Every other sensor needs a Python int in [0, num_actions): a bool, float
 or numpy integer is rejected, not truncated. `step` checks every sensor's
 action before it applies any, so a step that raises ValueError leaves
-batteries, ledger, samples and clock unchanged. Per-sensor state lives in
-Python lists, which `step` reads and writes one sensor at a time.
+batteries, ledger, kept samples and clock unchanged. Per-sensor state lives in
+Python lists, which `step` reads and writes one sensor at a time. The
+episode record is four (num_sensors, T) arrays: truth, the energy ledger
+(one column per step), a kept-sample mask and the kept values (one entry
+per kept sample); `episode_log` hands them to the metrics as they are.
 
 Both signal sources reduce to the same episode setup: a (num_sensors, T)
 truth matrix and one (low, high) normalization range per sensor (the
@@ -238,6 +241,7 @@ class SensorEnv:
         self._trace = trace
         self._windows: list[int] | None = None
         self._epoch = -1  # reset() required before stepping
+        self._done = False  # True once an episode has run to its end
 
     # -- episode lifecycle -------------------------------------------------
 
@@ -254,7 +258,10 @@ class SensorEnv:
         self._value_obs = [0.5] * n  # OBS_VALUE before the first kept sample
         self._sleep_until = [0] * n
         self._free = [True] * n  # the decision mask
-        self._samples: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        self._last_value = [0.0] * n  # the last kept value, once _last_epoch >= 0
+        # fresh arrays every episode: episode_log hands them out without a copy
+        self._kept = np.zeros((n, T), dtype=bool)
+        self._values = np.zeros((n, T))
         self._ledger = np.zeros((n, T))
         self._rows: list[tuple] = []
 
@@ -351,8 +358,7 @@ class SensorEnv:
         e = self._epoch
         battery, binary = self._battery, self._binary
         rewards, drawn_mj = [], []
-        for i, (action, truth, span, samples) in enumerate(
-                zip(checked, self._truth[:, e].tolist(), self._spans, self._samples)):
+        for i, (action, truth, span) in enumerate(zip(checked, self._truth[:, e].tolist(), self._spans)):
             sampling = action is not None and not (binary and action == SKIP)
             cost = self._sample_costs[i] if sampling else cfg.idle_cost
             drawn = min(battery[i], cost)
@@ -371,17 +377,17 @@ class SensorEnv:
                 )
                 if kept:
                     kept_value = float(measured)
-                    if not samples:
+                    prev_epoch, prev_value = self._last_epoch[i], self._last_value[i]
+                    if prev_epoch < 0:
                         gain = 1.0  # no reconstruction existed yet: maximal information
                     else:
-                        prev_epoch, prev_value = samples[-1]
                         gain = min(1.0, abs(truth - prev_value) / span)
                         if abs(kept_value - prev_value) < cfg.delta_red * span:
                             duplicate = 1.0
                         step_slope = (kept_value - prev_value) / ((e - prev_epoch) * span)
                         self._slope[i] = (1 - SLOPE_EWMA) * self._slope[i] + SLOPE_EWMA * step_slope
-                    samples.append((e, kept_value))
-                    self._last_epoch[i] = e
+                    self._kept[i, e], self._values[i, e] = True, kept_value
+                    self._last_epoch[i], self._last_value[i] = e, kept_value
                     self._value_obs[i] = min(1.0, max(0.0, (kept_value - self._los[i]) / span))
             cost /= self._c_max
             total = info_w * gain - energy_w * cost - redundancy_w * duplicate
@@ -395,18 +401,21 @@ class SensorEnv:
 
     # -- episode artifacts ---------------------------------------------------
 
-    def episode_log(self) -> metrics.EpisodeLog:
-        """Metrics-ready record of the finished episode."""
+    def _require_finished(self) -> None:
         if not self._done:
-            raise ValueError("episode still running")
-        return metrics.EpisodeLog([
-            metrics.SensorLog(truth, list(samples), ledger, list(events), (lo, lo + span))
-            for truth, samples, ledger, events, lo, span
-            in zip(self._truth, self._samples, self._ledger, self._events, self._los, self._spans)
-        ])
+            raise ValueError("no finished episode: reset() and step to the end first")
+
+    def episode_log(self) -> metrics.EpisodeLog:
+        """Metrics-ready record of the finished episode, over the env's own
+        arrays (the next reset allocates new ones)."""
+        self._require_finished()
+        return metrics.EpisodeLog(self._truth, self._ledger, self._kept, self._values,
+                                  self._events, np.array(self._spans))
 
     def write_episode_csv(self, path) -> None:
-        """Dump the per-epoch trace (actions, values, reward terms)."""
+        """Dump the per-epoch trace (actions, values, reward terms) of the
+        finished episode."""
+        self._require_finished()
         metrics.write_csv(
             path,
             ["epoch", "sensor", "action", "true_value", "kept_value",

@@ -1,63 +1,50 @@
 """Episode scoring: reconstruction quality, energy, redundancy, detection.
 
-All four metrics are computed per sensor from an EpisodeLog, as array
-operations on its kept epochs and values, and averaged with equal weight.
+An EpisodeLog holds one episode as (num_sensors, T) arrays: the truth,
+the energy drawn, a kept-sample mask and the kept values. Each of the
+four metrics scores every sensor at once with array operations along the
+epoch axis, then averages the sensors with equal weight.
 Reconstruction is a zero-order hold (each kept value held until the next,
 epochs before the first sample take the first), the same model the env's
-information-gain reward uses. Redundancy counts small steps in np.diff of
-the kept values; detection is two np.searchsorted calls per sensor.
+information-gain reward uses. Redundancy compares each kept value with
+the value held at the epoch before it; detection compares cumulative
+kept counts at the two ends of each event's window.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
-class SensorLog:
-    """One sensor's episode record.
+class EpisodeLog:
+    """One episode's record, each array of shape (num_sensors, T).
 
-    truth is the ground-truth series (length T), samples the kept
-    (epoch, value) pairs with strictly increasing epochs, energy the
-    per-epoch millijoules actually drawn (length T), events the
-    ground-truth event epochs, value_range the (lo, hi) used for
-    normalization. kept_epochs and kept_values hold samples as two arrays.
+    truth is the ground-truth series, energy the millijoules actually
+    drawn per epoch, kept True where a sample was kept and values the
+    kept value there (other entries are unused). events lists each
+    sensor's ground-truth event epochs, spans the per-sensor range used
+    for normalization (> 0).
     """
 
     truth: np.ndarray
-    samples: list[tuple[int, float]]
     energy: np.ndarray
-    events: list[int]
-    value_range: tuple[float, float]
+    kept: np.ndarray
+    values: np.ndarray
+    events: list
+    spans: np.ndarray
 
     def __post_init__(self):
-        self.truth = np.asarray(self.truth, dtype=np.float64)
-        self.energy = np.asarray(self.energy, dtype=np.float64)
-        if self.energy.shape != self.truth.shape:
-            raise ValueError("energy ledger length must equal the episode length")
-        self.kept_epochs = np.array([e for e, _ in self.samples], dtype=np.int64)
-        self.kept_values = np.array([v for _, v in self.samples], dtype=np.float64)
-        e = self.kept_epochs
-        if len(e) and ((e[1:] <= e[:-1]).any() or e[0] < 0 or e[-1] >= len(self.truth)):
-            raise ValueError("kept-sample epochs must be strictly increasing and inside the episode")
-
-    @property
-    def span(self) -> float:
-        lo, hi = self.value_range
-        return (hi - lo) if hi > lo else 1.0  # degenerate range guard
-
-
-@dataclass
-class EpisodeLog:
-    sensors: list[SensorLog]
+        if not self.truth.shape == self.energy.shape == self.kept.shape == self.values.shape:
+            raise ValueError("truth, energy, kept and values must share one (sensors, T) shape")
 
     @property
     def epochs(self) -> int:
-        return len(self.sensors[0].truth)
+        return self.truth.shape[1]
 
 
 @dataclass
@@ -88,27 +75,18 @@ class MetricsReport:
 
 
 def hold_index(present: np.ndarray) -> np.ndarray:
-    """The index of the last True at or before each position; positions
-    before the first True take the first (present needs at least one)."""
-    idx = np.maximum.accumulate(np.where(present, np.arange(len(present)), -1))
-    idx[idx < 0] = np.argmax(present)
-    return idx
+    """Along the last axis, the index of the last True at or before each
+    position; positions before the first True take the first (a row
+    with no True takes 0)."""
+    idx = np.maximum.accumulate(np.where(present, np.arange(present.shape[-1]), -1), axis=-1)
+    return np.where(idx < 0, np.argmax(present, axis=-1)[..., None], idx)
 
 
-def zoh_hold(length: int, epochs: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+def zoh_hold(kept: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Hold each kept value until the next kept epoch; epochs before the
-    first take the first value. None when nothing was kept."""
-    if not len(epochs):
-        return None
-    at, present = np.zeros(length, dtype=np.float64), np.zeros(length, dtype=bool)
-    at[epochs], present[epochs] = values, True
-    return at[hold_index(present)]
-
-
-def zoh_reconstruct(length: int, samples: list[tuple[int, float]]) -> np.ndarray | None:
-    """zoh_hold of (epoch, value) pairs; None when no samples."""
-    epochs, values = np.array(samples, dtype=np.float64).reshape(-1, 2).T
-    return zoh_hold(length, epochs.astype(np.int64), values)
+    first take the first value. A row with nothing kept holds its first
+    entry, which the metrics mask out."""
+    return np.take_along_axis(values, hold_index(kept), axis=-1)
 
 
 def data_quality(log: EpisodeLog) -> float:
@@ -116,41 +94,37 @@ def data_quality(log: EpisodeLog) -> float:
 
     A sensor with no kept samples contributes 0.
     """
-    scores = []
-    for s in log.sensors:
-        recon = zoh_hold(len(s.truth), s.kept_epochs, s.kept_values)
-        if recon is None:
-            scores.append(0.0)
-            continue
-        rmse = math.sqrt(float(np.mean((s.truth - recon) ** 2)))
-        scores.append(max(0.0, 1.0 - rmse / s.span))
+    rmse = np.sqrt(np.mean((log.truth - zoh_hold(log.kept, log.values)) ** 2, axis=1))
+    scores = np.where(log.kept.any(axis=1), np.maximum(0.0, 1.0 - rmse / log.spans), 0.0)
     return float(np.mean(scores))
 
 
 def energy_total(log: EpisodeLog) -> float:
     """Total drawn energy per sensor, averaged across sensors (mJ)."""
-    return float(np.mean([s.energy.sum() for s in log.sensors]))
+    return float(np.mean(log.energy.sum(axis=1)))
 
 
 def redundancy_rate(log: EpisodeLog, delta_red: float) -> float:
     """Percent of kept samples nearly identical to their predecessor."""
-    rates = []
-    for s in log.sensors:
-        values = s.kept_values
-        dup = np.count_nonzero(np.abs(np.diff(values)) < delta_red * s.span)
-        rates.append(100.0 * dup / len(values) if len(values) > 1 else 0.0)
-    return float(np.mean(rates))
+    kept = log.kept
+    later = kept[:, 1:] & np.logical_or.accumulate(kept, axis=1)[:, :-1]  # kept, not the first
+    step = np.abs(log.values[:, 1:] - zoh_hold(kept, log.values)[:, :-1])
+    dup = np.count_nonzero(later & (step < delta_red * log.spans[:, None]), axis=1)
+    n = np.count_nonzero(kept, axis=1)
+    return float(np.mean(np.where(n > 1, 100.0 * dup / np.maximum(n, 1), 0.0)))
 
 
 def event_detection_rate(log: EpisodeLog, window: int) -> float:
     """Percent of events with a kept sample inside [event, event + window];
     100 when a sensor saw no events."""
-    rates = []
-    for s in log.sensors:
-        kept, events = s.kept_epochs, np.asarray(s.events, dtype=np.int64)
-        # an event is hit when a kept epoch lies in [event, event + window]
-        hit = np.searchsorted(kept, events + window, "right") > np.searchsorted(kept, events)
-        rates.append(100.0 * np.count_nonzero(hit) / len(events) if len(events) else 100.0)
+    n, T = log.kept.shape
+    counts = np.zeros((n, T + 1), dtype=np.int64)  # counts[:, k]: kept samples before epoch k
+    np.cumsum(log.kept, axis=1, out=counts[:, 1:])
+    num = np.fromiter(map(len, log.events), np.int64, n)
+    rows = np.repeat(np.arange(n), num)  # the sensor of each listed event
+    events = np.fromiter(itertools.chain.from_iterable(log.events), np.int64, len(rows))
+    hit = counts[rows, np.minimum(events + window + 1, T)] > counts[rows, np.minimum(events, T)]
+    rates = np.where(num > 0, 100.0 * np.bincount(rows[hit], minlength=n) / np.maximum(num, 1), 100.0)
     return float(np.mean(rates))
 
 

@@ -2,7 +2,8 @@
 
 Everything here is written as plainly as possible (explicit loops, no
 shared code with the package) so it can serve as an oracle for the
-optimized implementations.
+optimized implementations. `stacked_log` only builds metric inputs: it
+lays per-sensor (epoch, value) sample lists into an EpisodeLog.
 """
 
 from __future__ import annotations
@@ -106,6 +107,27 @@ def zoh_series(length, samples):
                 break
         out[e] = held
     return out
+
+
+def stacked_log(truth, samples, energy=None, events=None, ranges=None):
+    """An EpisodeLog of one sensor per row of `truth`: sensor i keeps the
+    (epoch, value) pairs samples[i]. energy rows default to zeros, event
+    lists to none, (lo, hi) ranges to (0, 1); a range with hi <= lo
+    normalizes by 1, as in the env."""
+    from sensorq.metrics import EpisodeLog
+
+    truth = np.array(truth, dtype=np.float64)
+    kept = np.zeros(truth.shape, dtype=bool)
+    values = np.zeros(truth.shape)
+    for i, pairs in enumerate(samples):
+        for epoch, value in pairs:
+            kept[i, epoch] = True
+            values[i, epoch] = value
+    energy = np.zeros(truth.shape) if energy is None else np.array(energy, dtype=np.float64)
+    events = [[] for _ in truth] if events is None else [list(ev) for ev in events]
+    ranges = [(0.0, 1.0)] * len(truth) if ranges is None else ranges
+    spans = np.array([hi - lo if hi > lo else 1.0 for lo, hi in ranges])
+    return EpisodeLog(truth, energy, kept, values, events, spans)
 
 
 def naive_quality(truth, samples, value_range):

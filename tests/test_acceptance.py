@@ -24,7 +24,7 @@ from sensorq.experiments import (
 )
 
 from oracles import fd_gradient, naive_detection, naive_forward, \
-    naive_quality, naive_redundancy, naive_td_loss, value_iteration
+    naive_quality, naive_redundancy, naive_td_loss, stacked_log, value_iteration
 from toy_mdp import GAMMA, OPTIMAL, ToyMdpEnv, mdp_step
 
 
@@ -252,16 +252,17 @@ def test_09_metrics_oracles():
                 n_events = min(int(rng.integers(0, 4)), T)
                 events = sorted(rng.choice(T, size=n_events, replace=False).tolist())
                 lo, hi = float(truth.min()), float(truth.max())
-                sensors.append(
-                    metrics.SensorLog(truth, samples, rng.uniform(0, 2, size=T), events, (lo, hi))
-                )
-            log = metrics.EpisodeLog(sensors)
+                sensors.append((truth, samples, rng.uniform(0, 2, size=T), events, (lo, hi)))
+            log = stacked_log(*zip(*sensors))
             delta, window = 0.05, 2
             want_q = np.mean([
-                naive_quality(s.truth.tolist(), s.samples, s.span) for s in sensors
+                naive_quality(truth.tolist(), samples, hi - lo)
+                for truth, samples, _, _, (lo, hi) in sensors
             ])
-            want_r = np.mean([naive_redundancy(s.samples, delta, s.span) for s in sensors])
-            want_d = np.mean([naive_detection(s.events, s.samples, window) for s in sensors])
+            want_r = np.mean([naive_redundancy(samples, delta, hi - lo)
+                              for _, samples, _, _, (lo, hi) in sensors])
+            want_d = np.mean([naive_detection(events, samples, window)
+                              for _, samples, _, events, _ in sensors])
             assert abs(metrics.data_quality(log) - want_q) < 1e-9
             assert metrics.redundancy_rate(log, delta) == want_r
             assert metrics.event_detection_rate(log, window) == want_d

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -67,7 +69,7 @@ class TestStep:
         rewards, obs, done, truncated = env.step([SKIP, SKIP])
         assert not done and not truncated
         assert rewards.dtype == np.float64 and rewards.shape == (2,)
-        assert env._samples == [[], []]
+        assert not env._kept.any()
         np.testing.assert_allclose(env._battery, cfg.battery_mj - cfg.idle_cost)
         for gain, cost, duplicate in last_terms(env):
             assert gain == 0.0 and duplicate == 0.0
@@ -79,7 +81,7 @@ class TestStep:
         env.reset(0)
         env.step([SAMPLE])
         assert env._battery[0] == 0.0
-        assert len(env._samples[0]) == 1
+        assert env._kept[0].sum() == 1
         # empty sensor is now masked out and non-skip actions are rejected
         assert not env.decision_mask[0]
         with pytest.raises(ValueError):
@@ -94,18 +96,20 @@ class TestStep:
         for bad in ([0.9, True], [1.5, 1], [SKIP, True]):  # not truncated to an int
             with pytest.raises(ValueError):
                 env.step(bad)
-        assert env.epoch == 0 and env._samples == [[], []] and not env._ledger.any()
+        assert env.epoch == 0 and not env._kept.any() and not env._ledger.any()
         while env.decision_mask[1]:  # voltage samples its battery empty
             env.step([SKIP, SAMPLE])
         battery, ledger = env._battery.copy(), env._ledger.copy()
-        samples, epoch = [list(s) for s in env._samples], env.epoch
+        kept, values, epoch = env._kept.copy(), env._values.copy(), env.epoch
         # [SAMPLE, SAMPLE]: temperature is checked and valid; voltage is not
         for bad in ([SAMPLE, SAMPLE], [0.9, True], [1.5, 1], [SKIP, False], [SKIP, 0.0]):
             with pytest.raises(ValueError):
                 env.step(bad)
             np.testing.assert_array_equal(env._battery, battery)
             np.testing.assert_array_equal(env._ledger, ledger)
-            assert env._samples == samples and env.epoch == epoch
+            np.testing.assert_array_equal(env._kept, kept)
+            np.testing.assert_array_equal(env._values, values)
+            assert env.epoch == epoch
         env.step([SAMPLE, SKIP])
         np.testing.assert_allclose(cfg.battery_mj - np.asarray(env._battery), env._ledger.sum(axis=1),
                                    atol=1e-12)
@@ -141,9 +145,8 @@ class TestStep:
                 expected_battery -= cfg.sample_costs["temperature"]
             else:
                 expected_battery -= cfg.idle_cost
-        got = env._samples[0]
-        assert [e for e, _ in got] == [e for e, _ in expected_samples]
-        np.testing.assert_allclose([v for _, v in got], [v for _, v in expected_samples])
+        assert np.flatnonzero(env._kept[0]).tolist() == [e for e, _ in expected_samples]
+        np.testing.assert_allclose(env._values[0][env._kept[0]], [v for _, v in expected_samples])
         assert abs(env._battery[0] - expected_battery) < 1e-12
 
     def test_noiseless_kept_values_equal_truth(self):
@@ -153,9 +156,8 @@ class TestStep:
         done = False
         while not done:
             _, _, done, _ = env.step([SAMPLE, SAMPLE])
-        for i in range(2):
-            for e, v in env._samples[i]:
-                assert v == env._truth[i][e]
+        assert env._kept.all()
+        np.testing.assert_array_equal(env._values, env._truth)
 
     def test_battery_monotone_non_increasing(self):
         cfg = small_config(epochs=20)
@@ -240,7 +242,7 @@ class TestIntervalMode:
         env.reset(0)
         assert env.num_actions == 4
         env.step([2])  # sample then sleep 4 epochs
-        assert len(env._samples[0]) == 1
+        assert env._kept[0].sum() == 1
         for _ in range(3):
             assert not env.decision_mask[0]
             with pytest.raises(ValueError):
@@ -270,16 +272,38 @@ class TestEpisodeLog:
             _, _, done, _ = env.step(acts)
         log = env.episode_log()
         assert log.epochs == 10
-        for i, s in enumerate(log.sensors):
-            assert s.samples == env._samples[i]
-            np.testing.assert_array_equal(s.energy, env._ledger[i])
-            assert len(s.energy) == 10
+        assert log.kept is env._kept and log.values is env._values
+        assert log.truth is env._truth and log.energy is env._ledger
+        assert log.kept.shape == log.energy.shape == (2, 10)
+        assert log.events == env._events
+        np.testing.assert_array_equal(log.spans, env._spans)
 
-    def test_log_requires_finished_episode(self):
+    def test_log_requires_finished_episode(self, tmp_path):
         env = SensorEnv(small_config())
-        env.reset(0)
-        with pytest.raises(ValueError):
-            env.episode_log()
+        for _ in ("never reset", "mid-episode"):
+            with pytest.raises(ValueError):
+                env.episode_log()
+            with pytest.raises(ValueError):
+                env.write_episode_csv(tmp_path / "episode.csv")
+            env.reset(0)
+            env.step([SAMPLE, SKIP])
+
+    def test_log_survives_the_next_episode(self):
+        env = SensorEnv(small_config(eta=0.5))
+        rng = np.random.default_rng(3)
+
+        def episode(seed):
+            env.reset(seed)
+            done = False
+            while not done:
+                _, _, done, _ = env.step([int(rng.integers(2)) for _ in range(2)])
+            return env.episode_log()
+
+        log = episode(4)
+        before = dataclasses.astuple(log)  # a deep copy
+        episode(5)
+        for want, got in zip(before, dataclasses.astuple(log)):
+            np.testing.assert_array_equal(got, want)
 
     def test_episode_csv_round_trips(self, tmp_path):
         env = SensorEnv(small_config(epochs=5))

@@ -114,7 +114,8 @@ class TestRollout:
         cfg = tiny_env()
         log_a = run_episode(SensorEnv(cfg), FixedPolicy(2), 77)
         log_b = run_episode(SensorEnv(cfg), FixedPolicy(2), 77)
-        assert log_a.sensors[0].samples == log_b.sensors[0].samples
+        np.testing.assert_array_equal(log_a.kept, log_b.kept)
+        np.testing.assert_array_equal(log_a.values, log_b.values)
 
     def test_evaluate_policy_row(self):
         cfg = tiny_env()

@@ -302,7 +302,7 @@ class TestReplayIntegration:
         while not done:
             _, _, done, _ = env.step([SAMPLE])
         expected = trace[1].values["temperature"][:10]
-        got = [v for _, v in env._samples[0]]
+        got = env._values[0][env._kept[0]]
         np.testing.assert_array_equal(got, expected)
 
     def test_low_presence_window_excluded(self, tmp_path):

@@ -4,19 +4,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sensorq import metrics
-from sensorq.metrics import EpisodeLog, MetricsRow, SensorLog, aggregate
+from sensorq.metrics import EpisodeLog, MetricsRow, aggregate
 
-from oracles import naive_detection, naive_quality, naive_redundancy, zoh_series
+from oracles import naive_detection, naive_quality, naive_redundancy, stacked_log, zoh_series
 
 
 def make_log(truth, samples, energy=None, events=(), value_range=(0.0, 1.0)):
-    truth = np.asarray(truth, dtype=float)
-    if energy is None:
-        energy = np.zeros_like(truth)
-    return EpisodeLog([SensorLog(truth, list(samples), energy, list(events), value_range)])
+    """A one-sensor EpisodeLog."""
+    return stacked_log([truth], [samples], None if energy is None else [energy], [events],
+                       [value_range])
 
 
-def random_log(rng, max_T=30):
+def random_case(rng, max_T=30):
+    """(log, truth, samples, events, span) of a random one-sensor episode."""
     T = int(rng.integers(2, max_T))
     truth = rng.normal(0.0, 1.0, size=T).cumsum()
     n = int(rng.integers(0, T + 1))
@@ -26,7 +26,8 @@ def random_log(rng, max_T=30):
     events = sorted(rng.choice(T, size=min(n_ev, T), replace=False).tolist())
     energy = rng.uniform(0.0, 2.0, size=T)
     lo, hi = float(truth.min()), float(truth.max())
-    return EpisodeLog([SensorLog(truth, samples, energy, events, (lo, hi))])
+    log = make_log(truth, samples, energy, events, (lo, hi))
+    return log, truth, samples, events, float(log.spans[0])
 
 
 class TestDataQuality:
@@ -51,22 +52,20 @@ class TestDataQuality:
     def test_adding_a_sample_zeroes_error_at_that_epoch(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            log = random_log(rng)
-            s = log.sensors[0]
-            free = [e for e in range(len(s.truth)) if e not in {ep for ep, _ in s.samples}]
+            _, truth, samples, _, _ = random_case(rng)
+            free = [e for e in range(len(truth)) if e not in {ep for ep, _ in samples}]
             if not free:
                 continue
             e_new = int(rng.choice(free))
-            extended = sorted(s.samples + [(e_new, float(s.truth[e_new]))])
-            recon = metrics.zoh_reconstruct(len(s.truth), extended)
-            assert recon[e_new] == s.truth[e_new]
+            log = make_log(truth, sorted(samples + [(e_new, float(truth[e_new]))]))
+            recon = metrics.zoh_hold(log.kept, log.values)[0]
+            assert recon[e_new] == truth[e_new]
 
     def test_matches_brute_force_on_random_logs(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            log = random_log(rng)
-            s = log.sensors[0]
-            expected = naive_quality(s.truth.tolist(), s.samples, s.span)
+            log, truth, samples, _, span = random_case(rng)
+            expected = naive_quality(truth.tolist(), samples, span)
             assert abs(metrics.data_quality(log) - expected) < 1e-9
 
 
@@ -114,9 +113,8 @@ class TestRedundancy:
     def test_matches_brute_force_on_random_logs(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            log = random_log(rng)
-            s = log.sensors[0]
-            expected = naive_redundancy(s.samples, 0.05, s.span)
+            log, _, samples, _, span = random_case(rng)
+            expected = naive_redundancy(samples, 0.05, span)
             assert metrics.redundancy_rate(log, 0.05) == pytest.approx(expected, abs=1e-12)
 
 
@@ -140,9 +138,8 @@ class TestDetection:
     def test_matches_brute_force_on_random_logs(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
-            log = random_log(rng)
-            s = log.sensors[0]
-            expected = naive_detection(s.events, s.samples, 2)
+            log, _, samples, events, _ = random_case(rng)
+            expected = naive_detection(events, samples, 2)
             assert metrics.event_detection_rate(log, 2) == pytest.approx(expected, abs=1e-12)
 
 
@@ -172,23 +169,18 @@ class TestAggregate:
 
 
 class TestLogValidation:
-    def test_non_increasing_epochs_rejected(self):
-        with pytest.raises(ValueError):
-            make_log(np.zeros(4), [(2, 0.0), (2, 1.0)])
-
-    def test_epochs_outside_the_episode_rejected(self):
-        for samples in ([(-1, 0.0)], [(4, 0.0)], [(1, 0.0), (4, 0.0)]):
-            with pytest.raises(ValueError):
-                make_log(np.zeros(4), samples)
-
     def test_ledger_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SensorLog(np.zeros(4), [], np.zeros(3), [], (0.0, 1.0))
+        good = np.zeros((2, 4))
+        for bad in (np.zeros((2, 3)), np.zeros((1, 4)), np.zeros(4)):
+            with pytest.raises(ValueError):
+                EpisodeLog(good, bad, good.astype(bool), good, [[], []], np.ones(2))
+            with pytest.raises(ValueError):
+                EpisodeLog(good, good, bad.astype(bool), good, [[], []], np.ones(2))
 
     def test_metric_ranges_on_random_logs(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
-            log = random_log(rng)
+            log = random_case(rng)[0]
             assert 0.0 <= metrics.data_quality(log) <= 1.0
             assert metrics.energy_total(log) >= 0.0
             assert 0.0 <= metrics.redundancy_rate(log, 0.05) <= 100.0
@@ -200,36 +192,51 @@ DELTA_RED = 0.05
 
 @st.composite
 def oracle_cases(draw):
-    """(truth, samples, events, window, value_range). Kept values mix free
-    floats with multiples of the redundancy threshold, so that steps of
-    exactly delta_red * span occur."""
+    """(truth, samples, energy, events, ranges, window) of 1-4 sensors
+    sharing one T. Each sensor may keep nothing, list no events (or one
+    event twice) and have a degenerate range. Kept values mix free floats
+    with multiples of the redundancy threshold, so that steps of exactly
+    delta_red * span occur."""
     T = draw(st.integers(1, 40))
-    lo = draw(st.sampled_from([0.0, -3.0, 10.0]))
-    hi = lo + draw(st.sampled_from([0.0, 0.5, 1.0, 7.0]))  # 0: the degenerate-range guard
-    step = DELTA_RED * ((hi - lo) if hi > lo else 1.0)
-    value = st.one_of(st.sampled_from([0.0, step, 2 * step, -step]), st.floats(-20.0, 20.0))
-    epochs = sorted(draw(st.sets(st.integers(0, T - 1), max_size=T)))
-    samples = [(e, draw(value)) for e in epochs]
-    truth = draw(st.lists(st.floats(-20.0, 20.0), min_size=T, max_size=T))
-    events = sorted(draw(st.sets(st.integers(0, T - 1), max_size=4)))
-    return truth, samples, events, draw(st.integers(0, 4)), (lo, hi)
+    truth, samples, energy, events, ranges = [], [], [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.sampled_from([0.0, -3.0, 10.0]))
+        hi = lo + draw(st.sampled_from([0.0, 0.5, 1.0, 7.0]))  # 0: the degenerate-range guard
+        step = DELTA_RED * ((hi - lo) if hi > lo else 1.0)
+        value = st.one_of(st.sampled_from([0.0, step, 2 * step, -step]), st.floats(-20.0, 20.0))
+        epochs = sorted(draw(st.sets(st.integers(0, T - 1), max_size=T)))
+        samples.append([(e, draw(value)) for e in epochs])
+        truth.append(draw(st.lists(st.floats(-20.0, 20.0), min_size=T, max_size=T)))
+        energy.append(draw(st.lists(st.floats(0.0, 5.0), min_size=T, max_size=T)))
+        events.append(draw(st.lists(st.integers(0, T - 1), max_size=4)))
+        ranges.append((lo, hi))
+    return truth, samples, energy, events, ranges, draw(st.integers(0, 4))
 
 
 @given(oracle_cases())
-@example(([1.0, 2.0, 3.0], [], [2], 0, (0.0, 1.0)))  # no samples; an event at T-1
-@example(([0.0, 5.0, 1.0, 2.0], [(2, 1.0)], [0, 3], 0, (0.0, 5.0)))  # one sample after epoch 0
-@example(([0.0] * 5, [(0, 0.0), (1, 0.05), (3, 0.1), (4, 0.1)], [4], 0, (0.0, 1.0)))  # steps of exactly 0.05
+# no samples; an event at T-1
+@example(([[1.0, 2.0, 3.0]], [[]], [[0.0] * 3], [[2]], [(0.0, 1.0)], 0))
+# one sample after epoch 0, next to a sensor with no events and a degenerate range
+@example(([[0.0, 5.0, 1.0, 2.0], [1.0, 1.0, 2.0, 0.0]], [[(2, 1.0)], [(0, 1.0), (3, 1.04)]],
+          [[1.0, 0.5, 0.5, 0.5], [0.0] * 4], [[0, 3], []], [(0.0, 5.0), (2.0, 2.0)], 0))
+# steps of exactly 0.05; a duplicated event; a sensor that keeps nothing
+@example(([[0.0] * 5, [3.0] * 5], [[(0, 0.0), (1, 0.05), (3, 0.1), (4, 0.1)], []],
+          [[0.1] * 5, [0.2] * 5], [[4, 4], [1]], [(0.0, 1.0), (0.0, 1.0)], 0))
 def test_array_metrics_match_the_loop_oracles(case):
     """Zero-order hold, redundancy and detection equal the loop oracles
-    exactly; quality agrees within 1e-9, since the oracle sums one term at
-    a time."""
-    truth, samples, events, window, value_range = case
-    log = make_log(truth, samples, events=events, value_range=value_range)
-    s = log.sensors[0]
-    held = zoh_series(len(truth), samples)
-    for recon in (metrics.zoh_hold(len(truth), s.kept_epochs, s.kept_values),
-                  metrics.zoh_reconstruct(len(truth), samples)):
-        assert (None if recon is None else recon.tolist()) == held
-    assert metrics.redundancy_rate(log, DELTA_RED) == naive_redundancy(samples, DELTA_RED, s.span)
-    assert metrics.event_detection_rate(log, window) == naive_detection(events, samples, window)
-    assert abs(metrics.data_quality(log) - naive_quality(truth, samples, s.span)) < 1e-9
+    exactly, and energy the mean of 1-d row sums; quality agrees within
+    1e-9, since the oracle sums one term at a time."""
+    truth, samples, energy, events, ranges, window = case
+    log = stacked_log(truth, samples, energy, events, ranges)
+    held = metrics.zoh_hold(log.kept, log.values)
+    spans = [hi - lo for lo, hi in ranges]  # the oracles apply the degenerate-range guard
+    for row, pairs in zip(held.tolist(), samples):
+        if pairs:
+            assert row == zoh_series(len(row), pairs)
+    assert metrics.redundancy_rate(log, DELTA_RED) == np.mean(
+        [naive_redundancy(s, DELTA_RED, span) for s, span in zip(samples, spans)])
+    assert metrics.event_detection_rate(log, window) == np.mean(
+        [naive_detection(ev, s, window) for ev, s in zip(events, samples)])
+    assert metrics.energy_total(log) == np.mean([np.array(row).sum() for row in energy])
+    want_q = np.mean([naive_quality(t, s, span) for t, s, span in zip(truth, samples, spans)])
+    assert abs(metrics.data_quality(log) - want_q) < 1e-9
