@@ -13,20 +13,25 @@ digit month, day, hour, minute and second, 1-6 digit fraction) and are read
 as UTC, so the result does not depend on the machine's timezone; an
 impossible date or clock (Feb 30, second 60) skips.
 
-Lines that cannot be parsed are skipped, never fatal; each skip carries
-a reason code so ingestion is auditable. Kept readings are bucketed onto a
-regular grid of width delta_t seconds (finite and > 0) starting at the
-earliest kept timestamp (slot = floor((t - t0) / delta_t)); when two
-readings land in one slot the later one wins.
+Epoch and mote must fit in int64. Lines that cannot be parsed are
+skipped, never fatal; each skip carries a reason code so ingestion is
+auditable. Kept readings go into typed columns (56 bytes a line) and are
+bucketed onto a regular grid of width delta_t seconds (finite and > 0)
+starting at the earliest kept timestamp (slot = floor((t - t0) /
+delta_t)). Of one mote's readings in one slot the largest (timestamp,
+epoch, temperature, humidity, light, voltage) wins, the first line of
+equal ones (0.0 equals -0.0); one lexsort of the columns finds them all.
 """
 
 from __future__ import annotations
 
-import calendar
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +53,10 @@ R_FIELDS = "wrong_field_count"
 R_NUMBER = "unparseable_value"
 R_RANGE = "plausibility"
 
+_INT64 = (-(2**63), 2**63 - 1)  # epoch and mote are kept in int64 columns
+_BLOCK = 4096  # lines parsed before their readings move into the columns
+_UNIX_DAY = date(1970, 1, 1).toordinal()
+
 # strptime's own pattern (_strptime.TimeRE) for "%Y-%m-%d %H:%M:%S" with an
 # optional ".%f"; `\d` is Unicode, as there, and int() reads what it matches
 _STAMP = re.compile(
@@ -58,17 +67,16 @@ _STAMP = re.compile(
 )
 
 
-@dataclass
-class SensorReading:
-    date: str
-    time: str
+class SensorReading(NamedTuple):
+    """One parsed line, in the order of load_trace's columns."""
+
+    timestamp: float  # seconds since the Unix epoch (fractional), date and time read as UTC
     epoch: int
     mote: int
     temperature: float
     humidity: float
     light: float
     voltage: float
-    timestamp: float  # seconds since the Unix epoch (fractional), date and time read as UTC
 
 
 @dataclass
@@ -117,21 +125,23 @@ def parse_line(line: str) -> SensorReading | ParseSkip:
         channels = [float(v) for v in fields[4:8]]
     except ValueError:
         return ParseSkip(R_NUMBER)
-    if not all(map(math.isfinite, channels)):
+    lo, hi = _INT64
+    if not (all(map(math.isfinite, channels)) and lo <= epoch <= hi and lo <= mote <= hi):
         return ParseSkip(R_NUMBER)
     if mote < 1 or epoch < 0:
         return ParseSkip(R_RANGE)
     match = _STAMP.fullmatch(f"{fields[0]} {fields[1]}")
     if match is None:
         return ParseSkip(R_NUMBER)
-    year, month, day, hour, minute, second, frac = match.groups()
+    *clock, frac = match.groups()
+    year, month, day, hour, minute, second = map(int, clock)
     try:  # datetime rejects what the pattern lets through: Feb 30, second 60, year 0
-        when = datetime(int(year), int(month), int(day), int(hour), int(minute), int(second),
-                        int(frac.ljust(6, "0")) if frac else 0)
+        days = datetime(year, month, day, hour, minute, second).toordinal() - _UNIX_DAY
     except ValueError:
         return ParseSkip(R_NUMBER)
-    stamp = calendar.timegm(when.timetuple()) + when.microsecond / 1e6
-    return SensorReading(fields[0], fields[1], epoch, mote, *channels, stamp)
+    micro = int(frac.ljust(6, "0")) if frac else 0
+    stamp = days * 86400 + hour * 3600 + minute * 60 + second + micro / 1e6
+    return SensorReading._make((stamp, epoch, mote, *channels))
 
 
 def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], IngestReport]:
@@ -143,51 +153,54 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
     require(is_real(delta_t) and delta_t > 0, f"delta_t must be a finite number > 0, got {delta_t!r}")
     (t_lo, t_hi), (h_lo, h_hi), (l_lo, l_hi), (v_lo, v_hi) = (PLAUSIBLE[ch] for ch in CHANNELS)
     report = IngestReport()
-    readings: list[SensorReading] = []
+    columns = [array(code) for code in "dqqdddd"]  # SensorReading's fields, one row per kept line
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            report.total += 1
-            parsed = parse_line(line)
-            if isinstance(parsed, ParseSkip):
-                report.skip(parsed.reason)
-                continue
-            if not (
-                t_lo <= parsed.temperature <= t_hi
-                and h_lo <= parsed.humidity <= h_hi
-                and l_lo <= parsed.light <= l_hi
-                and v_lo <= parsed.voltage <= v_hi
-            ):
-                report.skip(R_RANGE)
-                continue
-            report.kept += 1
-            readings.append(parsed)
-    if not readings:
+        while block := list(islice(fh, _BLOCK)):
+            report.total += len(block)
+            kept = []
+            for parsed in map(parse_line, block):
+                if isinstance(parsed, ParseSkip):
+                    report.skip(parsed.reason)
+                elif (
+                    t_lo <= parsed.temperature <= t_hi
+                    and h_lo <= parsed.humidity <= h_hi
+                    and l_lo <= parsed.light <= l_hi
+                    and v_lo <= parsed.voltage <= v_hi
+                ):
+                    kept.append(parsed)
+                else:
+                    report.skip(R_RANGE)
+            for column, values in zip(columns, zip(*kept)):
+                column.extend(values)
+    report.kept = len(columns[0])
+    if not report.kept:
         raise ConfigError(f"no usable readings in {path}")
 
-    stamps = [r.timestamp for r in readings]
-    t0 = min(stamps)
-    slots = [int((t - t0) // delta_t) for t in stamps]
-    n_slots = max(slots) + 1
+    stamps, epochs, motes, *channels = (np.frombuffer(c, dtype=c.typecode) for c in columns)
+    slot_at = (stamps - stamps.min()) // delta_t
+    n_slots = int(slot_at.max()) + 1
+    slots = slot_at.astype(np.int64)
 
-    grids: dict[int, dict] = {}
-    for reading, ts, slot in zip(readings, stamps, slots):
-        per_mote = grids.setdefault(reading.mote, {})
-        held = per_mote.get(slot)
-        # slot conflicts keep the latest; value tuple breaks exact-timestamp
-        # ties so the result is independent of input line order
-        key = (ts, reading.epoch, reading.temperature, reading.humidity,
-               reading.light, reading.voltage)
-        if held is None or key > held[0]:
-            per_mote[slot] = (key, reading)
+    # a slot conflict keeps the largest (timestamp, epoch, channels) key: sort
+    # by (mote, slot, key) and take the last row of each (mote, slot). The rows
+    # are sorted back to front, so of exactly equal keys the first line wins.
+    back = slice(None, None, -1)
+    keys = [col[back] for col in (*channels[::-1], epochs, stamps, slots, motes)]
+    order = report.kept - 1 - np.lexsort(keys)
+    by_mote, by_slot = motes[order], slots[order]
+    last = np.append((by_mote[1:] != by_mote[:-1]) | (by_slot[1:] != by_slot[:-1]), True)
+    rows = order[last]
 
+    ids, firsts = np.unique(motes[rows], return_index=True)
     series: dict[int, MoteSeries] = {}
-    for mote in sorted(grids):
-        values = {ch: np.full(n_slots, np.nan) for ch in CHANNELS}
+    for mote, held in zip(ids.tolist(), np.split(rows, firsts[1:])):
+        at = slots[held]
         present = np.zeros(n_slots, dtype=bool)
-        for slot, (_, reading) in grids[mote].items():
-            present[slot] = True
-            for ch in CHANNELS:
-                values[ch][slot] = getattr(reading, ch)
+        present[at] = True
+        values = {}
+        for ch, column in zip(CHANNELS, channels):
+            values[ch] = np.full(n_slots, np.nan)
+            values[ch][at] = column[held]
         stats = {
             ch: (float(np.nanmin(values[ch])), float(np.nanmax(values[ch]))) for ch in CHANNELS
         }

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class EpisodeLog:
     @property
     def epochs(self) -> int:
         return self.truth.shape[1]
+
+    @cached_property
+    def held(self) -> np.ndarray:
+        """zoh_hold of the kept values, built once for the metrics that read it."""
+        return zoh_hold(self.kept, self.values)
 
 
 @dataclass
@@ -94,7 +100,7 @@ def data_quality(log: EpisodeLog) -> float:
 
     A sensor with no kept samples contributes 0.
     """
-    rmse = np.sqrt(np.mean((log.truth - zoh_hold(log.kept, log.values)) ** 2, axis=1))
+    rmse = np.sqrt(np.mean((log.truth - log.held) ** 2, axis=1))
     scores = np.where(log.kept.any(axis=1), np.maximum(0.0, 1.0 - rmse / log.spans), 0.0)
     return float(np.mean(scores))
 
@@ -107,8 +113,8 @@ def energy_total(log: EpisodeLog) -> float:
 def redundancy_rate(log: EpisodeLog, delta_red: float) -> float:
     """Percent of kept samples nearly identical to their predecessor."""
     kept = log.kept
-    later = kept[:, 1:] & np.logical_or.accumulate(kept, axis=1)[:, :-1]  # kept, not the first
-    step = np.abs(log.values[:, 1:] - zoh_hold(kept, log.values)[:, :-1])
+    later = kept[:, 1:] & (np.arange(1, log.epochs) > np.argmax(kept, axis=1)[:, None])  # not the first
+    step = np.abs(log.values[:, 1:] - log.held[:, :-1])
     dup = np.count_nonzero(later & (step < delta_red * log.spans[:, None]), axis=1)
     n = np.count_nonzero(kept, axis=1)
     return float(np.mean(np.where(n > 1, 100.0 * dup / np.maximum(n, 1), 0.0)))

@@ -196,6 +196,58 @@ def strptime_timestamp(date, time):
     return calendar.timegm(when.timetuple()) + when.microsecond / 1e6
 
 
+def key_tuple_trace(lines, delta_t, parse, plausible):
+    """Ingest trace lines the plain way: one parsed object per line and a
+    dict of key tuples per mote.
+
+    parse(line) gives a reading tuple (timestamp, epoch, mote, *channels)
+    or a skip with a .reason; readings outside the plausible[channel] =
+    (lo, hi) windows (in channel order) skip as "plausibility". A slot
+    conflict keeps the reading with the larger (timestamp, epoch,
+    *channels) tuple, the first line of equal ones. Returns
+    ({mote: (values, present, stats)} in ascending mote order, total,
+    kept, {reason: count}).
+    """
+    skipped = {}
+    readings = []
+    for line in lines:
+        parsed = parse(line)
+        if not isinstance(parsed, tuple):
+            reason = parsed.reason
+        elif all(lo <= v <= hi for v, (lo, hi) in zip(parsed[3:], plausible.values())):
+            readings.append(parsed)
+            continue
+        else:
+            reason = "plausibility"
+        skipped[reason] = skipped.get(reason, 0) + 1
+    if not readings:
+        return {}, len(lines), 0, skipped
+
+    stamps = [r[0] for r in readings]
+    t0 = min(stamps)
+    slots = [int((t - t0) // delta_t) for t in stamps]
+    n_slots = max(slots) + 1
+    grids = {}
+    for reading, slot in zip(readings, slots):
+        per_mote = grids.setdefault(reading[2], {})
+        key = (reading[0], reading[1], *reading[3:])
+        held = per_mote.get(slot)
+        if held is None or key > held[0]:
+            per_mote[slot] = (key, reading)
+
+    out = {}
+    for mote in sorted(grids):
+        values = {ch: np.full(n_slots, np.nan) for ch in plausible}
+        present = np.zeros(n_slots, dtype=bool)
+        for slot, (_, reading) in grids[mote].items():
+            present[slot] = True
+            for ch, v in zip(plausible, reading[3:]):
+                values[ch][slot] = v
+        stats = {ch: (float(np.nanmin(values[ch])), float(np.nanmax(values[ch]))) for ch in plausible}
+        out[mote] = (values, present, stats)
+    return out, len(lines), len(readings), skipped
+
+
 def rolling_std_events(values, window, k):
     """Epochs whose delta exceeds k times the np.std of the `window`
     deltas before it, one window at a time."""

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+import tempfile
 import time
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import strptime_timestamp
+import sensorq
+from oracles import key_tuple_trace, strptime_timestamp
 from sensorq import ingest
 from sensorq.errors import ConfigError
 from sensorq.ingest import (
@@ -43,8 +50,28 @@ class TestParseLine:
     def test_well_formed_line_maps_positionally(self):
         r = parse_line(GOOD)
         assert isinstance(r, SensorReading)
-        assert (r.date, r.time, r.epoch, r.mote) == ("2004-03-01", "00:58:46.002832", 2, 1)
+        assert (r.epoch, r.mote) == (2, 1)
         assert (r.temperature, r.humidity, r.light, r.voltage) == (19.98, 37.09, 45.08, 2.69)
+        assert r == (r.timestamp, 2, 1, 19.98, 37.09, 45.08, 2.69)  # load_trace's column order
+
+    @pytest.mark.parametrize(
+        "epoch, mote, kept",
+        [
+            (2**63 - 1, 2**63 - 1, True),
+            (2**63, 1, False),
+            (2, 2**63, False),
+            (2, 10**30, False),
+            (-(2**63) - 1, 1, False),  # out of int64 before it is out of range
+            (-(2**63), 1, None),  # in int64, then a negative epoch
+        ],
+    )
+    def test_epoch_and_mote_must_fit_int64(self, epoch, mote, kept):
+        r = parse_line(f"2004-03-01 00:58:46.0 {epoch} {mote} 19.9 37.0 45.0 2.69")
+        if kept:
+            assert isinstance(r, SensorReading) and (r.epoch, r.mote) == (epoch, mote)
+        else:
+            assert isinstance(r, ParseSkip)
+            assert r.reason == (ingest.R_NUMBER if kept is False else ingest.R_RANGE)
 
     def test_empty_line_skips_on_field_count(self):
         r = parse_line("")
@@ -239,10 +266,131 @@ class TestLoadTrace:
         assert report.total == 2 and report.kept == 1
         assert report.skipped == {ingest.R_NUMBER: 1}
 
+    def test_huge_mote_skips_instead_of_merging(self, tmp_path):
+        # as floats, 2**64 + 1 and 2**64 would share one mote
+        lines = [
+            "2004-03-01 00:00:00.0 0 1 20.0 40.0 100.0 2.7",
+            f"2004-03-01 00:00:00.0 0 {2**64 + 1} 21.0 40.0 100.0 2.7",
+            f"2004-03-01 00:00:00.0 0 {2**64} 22.0 40.0 100.0 2.7",
+            f"2004-03-01 00:01:00.0 1 {2**63 - 1} 23.0 40.0 100.0 2.7",
+        ]
+        series, report = load_trace(write_trace(tmp_path, lines))
+        assert report.skipped == {ingest.R_NUMBER: 2} and report.kept == 2
+        assert list(series) == [1, 2**63 - 1]
+        assert all(type(m) is int for m in series)
+        np.testing.assert_array_equal(series[2**63 - 1].values["temperature"], [np.nan, 23.0])
+
     @pytest.mark.parametrize("delta_t", [0.0, -60.0, float("nan"), float("inf")])
     def test_bad_delta_t_is_config_error(self, tmp_path, delta_t):
         with pytest.raises(ConfigError, match="delta_t"):
             load_trace(write_trace(tmp_path, [GOOD]), delta_t=delta_t)
+
+
+# few stamps, epochs and values, so slot conflicts and exact ties are common
+_LIGHT = st.sampled_from(["0", "-0", "0.0", "-0.0", "100", "1e2"])
+_LINE = st.builds(
+    "2004-03-01 {} {} {} {} {} {} {}".format,
+    st.sampled_from(["00:00:00", "00:00:00.5", "00:00:30", "00:00:59.999999", "00:01:00",
+                     "00:01:00.000001", "00:02:30", "00:04:00"]),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.sampled_from(["20", "21.5", "-0", "0.0"]),
+    st.sampled_from(["40", "40.0", "0", "-0.0"]),
+    _LIGHT,
+    st.sampled_from(["2.7", "2.70", "3.5"]),
+)
+_BAD_LINE = st.sampled_from([
+    "",
+    "junk",
+    "2004-03-01 00:00:00 0 1 200 40 100 2.7",
+    "2004-03-01 00:00:00 0 0 20 40 100 2.7",
+    f"2004-03-01 00:00:00 0 {2**64} 20 40 100 2.7",
+])
+
+
+def assert_matches_key_tuple_oracle(path, lines, delta_t):
+    series, report = load_trace(path, delta_t)
+    want, total, kept, skipped = key_tuple_trace(lines, delta_t, parse_line, ingest.PLAUSIBLE)
+    assert (report.total, report.kept, report.skipped) == (total, kept, skipped)
+    assert list(series) == list(want)
+    for mote, (values, present, stats) in want.items():
+        ms = series[mote]
+        assert ms.mote == mote and type(ms.mote) is int
+        np.testing.assert_array_equal(ms.present, present)
+        for ch in ingest.CHANNELS:  # bytes: NaN equals NaN, and 0.0 differs from -0.0
+            assert ms.values[ch].tobytes() == values[ch].tobytes()
+        assert np.array(list(ms.stats.values())).tobytes() == np.array(list(stats.values())).tobytes()
+    return series
+
+
+class TestGridMatchesKeyTupleOracle:
+    def test_planted_conflicts(self, tmp_path):
+        lines = [
+            "2004-03-01 00:00:10 5 1 20 40 -0 2.7",
+            "2004-03-01 00:00:10 5 1 20 40 0 2.7",  # equal to the line above: the first stays
+            "2004-03-01 00:01:10 6 1 19 40 5 2.7",
+            "2004-03-01 00:01:10 5 1 25 40 5 2.7",  # same stamp, lower epoch: loses
+            "2004-03-01 00:02:10 5 1 20 40 5 2.7",
+            "2004-03-01 00:02:10 5 1 21 40 5 2.7",  # same stamp and epoch, warmer: wins
+            "2004-03-01 00:02:10 5 1 20 40 5 2.7",
+            "2004-03-01 00:03:10.5 5 2 20 40 5 2.7",
+            "2004-03-01 00:03:50 4 2 30 40 5 2.7",  # later in the slot, lower epoch: wins
+        ]
+        series = assert_matches_key_tuple_oracle(write_trace(tmp_path, lines), lines, 60.0)
+        assert np.signbit(series[1].values["light"][0])
+        np.testing.assert_array_equal(series[1].values["temperature"], [20, 19, 21, np.nan])
+        np.testing.assert_array_equal(series[2].values["temperature"], [np.nan] * 3 + [30])
+        swapped = [lines[1], lines[0], *lines[2:]]
+        series = assert_matches_key_tuple_oracle(write_trace(tmp_path, swapped), swapped, 60.0)
+        assert not np.signbit(series[1].values["light"][0])
+
+    @given(
+        good=st.lists(_LINE, min_size=1, max_size=30),
+        bad=st.lists(_BAD_LINE, max_size=4),
+        delta_t=st.sampled_from([0.25, 1.0, 30.0, 45.5, 60.0]),
+        data=st.data(),
+    )
+    def test_generated_traces(self, good, bad, delta_t, data):
+        duplicates = data.draw(st.lists(st.sampled_from(good), max_size=5))
+        # ties on every key but light, which may differ only in its sign
+        relit = [
+            " ".join([*line.split()[:6], light, line.split()[7]])
+            for line, light in data.draw(st.lists(st.tuples(st.sampled_from(good), _LIGHT), max_size=5))
+        ]
+        lines = data.draw(st.permutations(good + duplicates + relit + bad))
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_matches_key_tuple_oracle(write_trace(Path(tmp), lines), lines, delta_t)
+
+
+_RSS_PROBE = """
+import resource, sys
+from sensorq import ingest
+ingest.load_trace(sys.argv[2])  # imports and first numpy calls before the baseline
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ingest.load_trace(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's unit")
+def test_load_trace_peak_memory_is_columnar(tmp_path):
+    """100k kept lines raise peak RSS by far less than the ~700 B per line
+    that one object per reading costs (about 70 MB here)."""
+    start = datetime(2004, 3, 1)
+    with open(tmp_path / "big.txt", "w") as fh:
+        for k in range(5_000):
+            for mote in range(1, 21):
+                stamp = start + timedelta(seconds=31 * k, microseconds=mote)
+                fh.write(f"{stamp:%Y-%m-%d %H:%M:%S.%f} {k} {mote} {20 + (k * mote) % 17 / 8:.4f} "
+                         f"{40 + k % 13 / 4:.4f} {100 + mote * 7.5:.2f} {2.6 + k % 7 / 100:.3f}\n")
+    write_trace(tmp_path, [GOOD], "small.txt")
+    env = {**os.environ, "PYTHONPATH": str(Path(sensorq.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, str(tmp_path / "big.txt"), str(tmp_path / "small.txt")],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    grown_mb = int(done.stdout) / 1024
+    assert grown_mb < 30.0, f"peak RSS grew by {grown_mb:.1f} MB"
 
 
 class TestGapFill:
