@@ -74,12 +74,6 @@ class ReplayPool:
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def contents(self) -> Batch:
-        """Oldest-to-newest copy of the pool (for tests and debugging)."""
-        start = self._head if self._size == self.capacity else 0
-        idx = (start + np.arange(self._size)) % self.capacity
-        return Batch(self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._done[idx])
-
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch | None:
         if self._size < batch_size:
             return None
@@ -142,7 +136,6 @@ class AgentHyperParams:
     train_per_step: int = 1
     lr: float = 1e-3
     hidden: tuple[int, ...] = (64, 64)
-    hard_copy_every: int | None = None  # optional hard target copy instead of soft updates
 
     def validate(self) -> None:
         require(is_real(self.gamma, 0.0, 1.0), "gamma must lie in [0, 1]")
@@ -158,8 +151,6 @@ class AgentHyperParams:
                 "warmup and train_per_step must be integers >= 0")
         require(isinstance(self.hidden, (list, tuple)) and all(is_int(n, 1) for n in self.hidden),
                 "hidden must be a list of integers >= 1")
-        require(self.hard_copy_every is None or is_int(self.hard_copy_every, 0),
-                "hard_copy_every must be null or an integer >= 0")
 
 
 def hypers_from_dict(raw: dict) -> AgentHyperParams:
@@ -251,11 +242,7 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
                         ) from exc
                     train_steps += 1
                     losses.append(loss)
-                    if hypers.hard_copy_every:
-                        if train_steps % hypers.hard_copy_every == 0:
-                            target = online.copy()
-                    else:
-                        target = nn.soft_update(online, target, hypers.tau)
+                    target = nn.soft_update(online, target, hypers.tau)
             if done or truncated:
                 break
         mean_loss = float(np.mean(losses)) if losses else 0.0

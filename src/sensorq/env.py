@@ -194,7 +194,7 @@ def config_from_dict(raw: dict) -> EnvConfig:
             **require_keys(kw["signal"], SignalParams.__dataclass_fields__, "env.signal"))
     if "ranges" in kw:
         kw["ranges"] = {k: (as_float(lo), as_float(hi)) for k, (lo, hi) in kw["ranges"].items()}
-    if "replay" in kw:
+    if kw.get("replay") is not None:  # null, like no replay key, means none
         r = dict(require_keys(kw["replay"], ReplayConfig.__dataclass_fields__, "env.replay"))
         r.update({k: as_float(v) for k, v in r.items() if k in ("delta_t", "min_presence")})
         kw["replay"] = ReplayConfig(**dict(r, sensors=[(m, k) for m, k in r.get("sensors", [])]))

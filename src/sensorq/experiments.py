@@ -2,10 +2,11 @@
 interference sweep.
 
 run_train, run_compare, run_weight_sweep and run_interference_sweep share
-one path: _prologue validates, creates the output directory and reads a
-replay trace once per run; _train_per_seed writes every dqn_seed<s>.txt
-and curve_seed<s>.csv; _report evaluates a policy under every seed and
-aggregates the rows; every table goes out through metrics.write_csv.
+one path: _prologue validates, creates the output directory, reads a
+replay trace once per run and writes the manifest; _train_per_seed
+writes every dqn_seed<s>.txt and curve_seed<s>.csv; _report evaluates a
+policy under every seed and aggregates the rows; every table goes out
+through metrics.write_csv.
 
 Every run is pinned by (config, seed list): training episode seeds,
 evaluation episode seeds, and per-episode policy randomness all derive
@@ -24,7 +25,7 @@ import csv
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,8 @@ EXPERIMENT_KEYS = ("policies", "seeds", "train_episodes", "eval_episodes", "weig
 
 
 def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
-    """Build a spec from the documented JSON schema (env/agent/experiment).
+    """Build a spec from the documented JSON schema (env/agent/experiment),
+    or from the `config` object of a manifest.json (nothing else in it).
 
     The one place config values enter: a value of the wrong type or out of
     range, or an unknown key, ends here or in ExperimentSpec.validate as a
@@ -106,6 +108,8 @@ def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
+        if isinstance(raw, dict) and "config" in raw:
+            raw = raw["config"]
         require_keys(raw, ("env", "agent", "experiment"), "top-level")
         exp = dict(require_keys(raw.get("experiment", {}), EXPERIMENT_KEYS, "experiment"))
         if "weight_triples" in exp:
@@ -175,12 +179,14 @@ def make_baseline(text: str, horizon: int):
 
 
 def _prologue(spec: ExperimentSpec, kind: str) -> tuple[Path, dict | None]:
-    """Validate the spec, create the output directory and read the replay
-    trace once; every experiment starts here."""
+    """Validate the spec, create the output directory, read the replay trace
+    once and write the manifest; every experiment starts here."""
     spec.validate(kind)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, load_replay_trace(spec.env)
+    trace = load_replay_trace(spec.env)
+    write_manifest(spec, kind, out_dir)
+    return out_dir, trace
 
 
 def _train_per_seed(spec: ExperimentSpec, cfg: EnvConfig, trace) -> list[TrainResult]:
@@ -241,10 +247,8 @@ def matched_random_rate(cfg: EnvConfig, energy_mj: float) -> float:
 
 def run_train(spec: ExperimentSpec) -> list[TrainResult]:
     """Train one agent per seed; the results come back in seed order."""
-    out_dir, trace = _prologue(spec, "train")
-    results = _train_per_seed(spec, spec.env, trace)
-    write_manifest(spec, "train", out_dir)
-    return results
+    _, trace = _prologue(spec, "train")
+    return _train_per_seed(spec, spec.env, trace)
 
 
 def run_compare(spec: ExperimentSpec, check: bool = False) -> list[metrics.MetricsReport]:
@@ -254,7 +258,6 @@ def run_compare(spec: ExperimentSpec, check: bool = False) -> list[metrics.Metri
     dqn_params = _dqn_params_per_seed(spec, cfg, trace) if "dqn" in spec.policies else {}
     reports = [_report(spec, cfg, text, dqn_params, trace) for text in spec.policies]
     metrics.write_reports_csv(reports, out_dir / "compare.csv")
-    write_manifest(spec, "compare", out_dir)
     if check:
         check_compare(spec, reports, trace)
     return reports
@@ -301,7 +304,6 @@ def run_weight_sweep(spec: ExperimentSpec, check: bool = False) -> list[dict]:
         ([metrics.fmt(w) for w in c["triple"]] + metrics.report_cells(c["report"])
          for c in results),
     )
-    write_manifest(spec, "weight-sweep", out_dir)
     if check:
         check_weight_sweep(spec, results)
     return results
@@ -350,7 +352,6 @@ def run_interference_sweep(spec: ExperimentSpec, check: bool = False) -> list[di
         ([c["policy"], metrics.fmt(c["eta"]), metrics.fmt(c["quality"]),
           metrics.fmt(c["quality_std"]), seeds] for c in results),
     )
-    write_manifest(spec, "interference-sweep", out_dir)
     if check:
         check_interference(spec, results)
     return results
@@ -380,29 +381,35 @@ def check_interference(spec: ExperimentSpec, results: list[dict]) -> None:
 # -- artifacts ---------------------------------------------------------------
 
 
-def spec_fingerprint(spec: ExperimentSpec) -> str:
-    """Stable hash of everything that determines the outputs."""
-    payload = {
-        "env": repr(spec.env),
-        "hypers": repr(spec.hypers),
-        "seeds": spec.seeds,
-        "policies": spec.policies,
-        "weight_triples": spec.weight_triples,
-        "eta_grid": spec.eta_grid,
-        "train_episodes": spec.train_episodes,
-        "eval_episodes": spec.eval_episodes,
-        "checkpoint": spec.checkpoint,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def resolved_config(spec: ExperimentSpec) -> dict:
+    """The spec in the config schema (env, agent, experiment), every default
+    filled in; spec_from_file reads it back to an equal spec."""
+    return {"env": asdict(spec.env), "agent": asdict(spec.hypers),
+            "experiment": {k: getattr(spec, k) for k in EXPERIMENT_KEYS}}
+
+
+def numpy_build() -> dict:
+    """The numpy version and BLAS that float64 results depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):  # numpy too old to report its build as a dict
+        name = "unknown"
+    return {"numpy": np.__version__, "blas": name}
 
 
 def write_manifest(spec: ExperimentSpec, kind: str, out_dir: Path) -> None:
+    """manifest.json: the resolved config, which --config reads back to rerun
+    the experiment, and the run around it: the command (`experiment`), the
+    sha256 of the config's canonical JSON, the checkpoint and the builds."""
+    config = resolved_config(spec)
     manifest = {
         "experiment": kind,
-        "config_sha256": spec_fingerprint(spec),
-        "seeds": spec.seeds,
+        "config": config,
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "checkpoint": spec.checkpoint,
         "version": __version__,
+        **numpy_build(),
     }
     with open(Path(out_dir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

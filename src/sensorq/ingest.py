@@ -54,6 +54,7 @@ R_NUMBER = "unparseable_value"
 R_RANGE = "plausibility"
 
 _INT64 = (-(2**63), 2**63 - 1)  # epoch and mote are kept in int64 columns
+MAX_GRID_CELLS = 2**26  # (slot, mote) cells of 33 B; the Intel Lab trace at 31 s needs 5.4M
 _BLOCK = 4096  # lines parsed before their readings move into the columns
 _UNIX_DAY = date(1970, 1, 1).toordinal()
 
@@ -148,7 +149,8 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
     """Parse a trace file into per-mote aligned series plus a skip report.
 
     Raises OSError when the file cannot be read and ConfigError when
-    delta_t is not a finite number > 0 or no reading survives cleaning.
+    delta_t is not a finite number > 0, no reading survives cleaning, or
+    the grid would exceed MAX_GRID_CELLS (slots x motes).
     """
     require(is_real(delta_t) and delta_t > 0, f"delta_t must be a finite number > 0, got {delta_t!r}")
     (t_lo, t_hi), (h_lo, h_hi), (l_lo, l_hi), (v_lo, v_hi) = (PLAUSIBLE[ch] for ch in CHANNELS)
@@ -177,9 +179,8 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
         raise ConfigError(f"no usable readings in {path}")
 
     stamps, epochs, motes, *channels = (np.frombuffer(c, dtype=c.typecode) for c in columns)
-    slot_at = (stamps - stamps.min()) // delta_t
-    n_slots = int(slot_at.max()) + 1
-    slots = slot_at.astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny delta_t gives inf: rejected below
+        slots = (stamps - stamps.min()) // delta_t  # whole numbers; float64 until checked below
 
     # a slot conflict keeps the largest (timestamp, epoch, channels) key: sort
     # by (mote, slot, key) and take the last row of each (mote, slot). The rows
@@ -192,6 +193,10 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
     rows = order[last]
 
     ids, firsts = np.unique(motes[rows], return_index=True)
+    n_slots = float(slots.max()) + 1  # no grid exists yet
+    require(n_slots * len(ids) <= MAX_GRID_CELLS,  # False for inf too
+            f"delta_t {delta_t!r} needs {n_slots:.3g} slots x {len(ids)} motes > {MAX_GRID_CELLS} cells")
+    n_slots, slots = int(n_slots), slots.astype(np.int64)
     series: dict[int, MoteSeries] = {}
     for mote, held in zip(ids.tolist(), np.split(rows, firsts[1:])):
         at = slots[held]

@@ -185,6 +185,20 @@ def value_iteration(n_states, n_actions, step_fn, gamma, sweeps=10_000, tol=1e-1
     return q
 
 
+def replay_pool_rows(pool):
+    """A ReplayPool's transitions, oldest to newest, as (s, a, r, s2, done)
+    tuples read straight from its ring arrays: once the ring has wrapped,
+    the oldest row is the one the next push overwrites."""
+    size = len(pool)
+    start = pool._head if size == pool.capacity else 0
+    rows = []
+    for k in range(size):
+        i = (start + k) % pool.capacity
+        rows.append((pool._s[i], int(pool._a[i]), float(pool._r[i]), pool._s2[i],
+                     bool(pool._done[i])))
+    return rows
+
+
 def strptime_timestamp(date, time):
     """UTC seconds of a trace line's date and time fields through
     datetime.strptime, or None where strptime rejects them."""

@@ -312,17 +312,13 @@ def test_11_manifest_determinism(tmp_path):
             }
             """
         )
-        outputs = []
-        for run in ("a", "b"):
-            out = tmp_path / run
-            code = cli.main(
-                ["compare", "--config", str(config), "--out", str(out),
-                 "--seeds", "1,2", "--train", "--plotdata"]
-            )
-            assert code == 0
-            outputs.append(out)
-        a, b = outputs
+        a, b = tmp_path / "a", tmp_path / "b"
+        # run b reads nothing but a's manifest: seeds and defaults come from it
+        for argv in (["--config", str(config), "--out", str(a), "--seeds", "1,2"],
+                     ["--config", str(a / "manifest.json"), "--out", str(b)]):
+            assert cli.main(["compare", *argv, "--train", "--plotdata"]) == 0
         names = sorted(p.name for p in a.iterdir())
         assert "manifest.json" in names and "compare.csv" in names
+        assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name

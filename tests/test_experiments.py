@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorq import metrics, nn
+from sensorq import ingest, metrics, nn
 from sensorq.agent import AgentHyperParams
 from sensorq.baselines import FixedPolicy, GreedyQPolicy, RandomPolicy, ThresholdPolicy
 from sensorq.env import OBS_DIM, EnvConfig, ReplayConfig, RewardWeights, SensorEnv
@@ -26,6 +27,7 @@ from sensorq.experiments import (
     evaluate_policy,
     make_baseline,
     matched_random_rate,
+    resolved_config,
     run_compare,
     run_episode,
     run_interference_sweep,
@@ -33,6 +35,7 @@ from sensorq.experiments import (
     run_weight_sweep,
     spec_from_file,
     train_dqn,
+    write_manifest,
 )
 from sensorq import cli
 from sensorq.signals import SignalParams
@@ -97,6 +100,36 @@ class TestSpec:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             spec_from_file(path, tmp_path)
+
+    @pytest.mark.parametrize("mode", ["synthetic", "replay"])
+    def test_manifest_reads_back_to_the_same_spec(self, tmp_path, mode):
+        env = {"sensors": ["temperature"], "epochs": 10, "battery_mj": 12,
+               "weights": {"info": 1, "energy": 0, "redundancy": 0},
+               "ranges": {"temperature": [0, 50]}}
+        if mode == "replay":
+            env.update(mode="replay", replay={"path": "trace.txt", "delta_t": 30,
+                                              "sensors": [[3, "light"]], "end_slot": 40})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(CONFIG_JSON, env=env)))
+        spec = spec_from_file(path, tmp_path, seeds=[7, 2])
+        write_manifest(spec, "compare", tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        config = manifest["config"]
+        assert manifest["experiment"] == "compare" and manifest["checkpoint"] is None
+        assert manifest["config_sha256"] == hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()).hexdigest()
+        assert config["experiment"]["seeds"] == [7, 2]
+        assert (config["env"]["replay"] is None) == (mode == "synthetic")
+        back = spec_from_file(tmp_path / "manifest.json", tmp_path)
+        assert back.env == spec.env and back.hypers == spec.hypers
+        assert all(getattr(back, k) == getattr(spec, k) for k in EXPERIMENT_KEYS)
+        assert resolved_config(back) == resolved_config(spec)
+
+    def test_manifest_run_fields_are_not_read(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config": CONFIG_JSON, "experiment": "compare",
+                                    "version": "other", "checkpoint": "missing.txt"}))
+        assert spec_from_file(path, tmp_path).seeds == [4, 5]
 
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -217,8 +250,6 @@ class TestCompare:
     "runner", [run_compare, run_weight_sweep, run_interference_sweep, run_train]
 )
 def test_replay_trace_read_once_per_experiment(tmp_path, monkeypatch, runner):
-    from sensorq import ingest
-
     trace = tmp_path / "trace.txt"
     trace.write_text(
         "".join(f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 9}.0 40.0 100.0 2.7\n" for i in range(12))
@@ -431,6 +462,7 @@ class TestCli:
             {"experiment": {"policies": ["fixed(2.5)"]}},
             {"agent": {"replay_capacity": 10}},
             {"agent": {"replay_capacity": 0}},
+            {"agent": {"hard_copy_every": 5}},
         ],
         ids=["unknown-agent-key", "signal-period-1", "batch-size-0", "train-episodes-str",
              "weight-str", "epochs-str", "noise-beta-negative", "four-weights",
@@ -441,7 +473,7 @@ class TestCli:
              "detection-window-true", "start-slot-true", "seed-true", "experiment-key-typo",
              "ranges-missing-kind", "unknown-weights-key", "unknown-section",
              "policy-bad-number", "fixed-period-fraction", "replay-capacity-below-batch",
-             "replay-capacity-0"],
+             "replay-capacity-0", "hard-copy-every-removed"],
     )
     def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, raw):
         path = tmp_path / "config.json"
@@ -516,6 +548,40 @@ class TestCli:
         assert code == 1
         assert err.startswith("configuration error: delta_t must be") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("delta_t", ["1e-300", "5e-324", "1e-12"])
+    def test_ingest_tiny_delta_t_is_one_line_exit_1(self, tmp_path, capsys, delta_t):
+        """Far too many slots for the grid: rejected before anything is
+        allocated, never a traceback."""
+        out = tmp_path / "out"
+        code = cli.main(["ingest", "--trace", str(self.three_line_trace(tmp_path)),
+                         "--out", str(out), f"--delta-t={delta_t}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"configuration error: delta_t {float(delta_t)!r} needs ")
+        assert err.endswith(f" > {ingest.MAX_GRID_CELLS} cells\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta_t", [1e-300, 5e-324, 1e-12])
+    def test_replay_tiny_delta_t_is_one_line_exit_1(self, tmp_path, capsys, delta_t):
+        replay = {"path": str(self.three_line_trace(tmp_path)), "sensors": [[1, "temperature"]],
+                  "delta_t": delta_t}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"env": {"epochs": 2, "mode": "replay", "replay": replay},
+                                    "experiment": {"policies": ["fixed(1)"]}}))
+        code = cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"configuration error: delta_t {delta_t!r} needs ")
+        assert err.count("\n") == 1
+
+    @staticmethod
+    def three_line_trace(tmp_path):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("2004-03-01 00:00:00.0 0 1 20.0 40.0 100.0 2.7\n"
+                         "2004-03-01 00:01:00.0 1 1 21.0 40.0 100.0 2.7\n"
+                         "2004-03-01 00:02:00.0 2 2 22.0 40.0 100.0 2.7\n")
+        return trace
 
     @pytest.mark.parametrize("delta_t", [0, -60, "NaN"])
     def test_replay_bad_delta_t_is_one_line_exit_1(self, tmp_path, capsys, delta_t):
@@ -719,8 +785,9 @@ FUZZ_VALUES = [True, False, None, float("nan"), float("inf"), float("-inf"), -1,
 @given(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES))
 def test_fuzzed_config_exits_with_a_code_and_at_most_one_line(field, value):
     """One field of the tiny base config replaced by a hostile value: the run
-    ends in a documented exit code, never a traceback. The replay section is
-    validated but never read, since the base mode stays synthetic."""
+    ends in a documented exit code, never a traceback, and a run that exits 0
+    leaves a manifest whose config reads back to itself. The replay section
+    is validated but never read, since the base mode stays synthetic."""
     raw = json.loads(json.dumps(FUZZ_BASE))
     section = raw
     for name in field[0].split("."):
@@ -732,5 +799,9 @@ def test_fuzzed_config_exits_with_a_code_and_at_most_one_line(field, value):
         path.write_text(json.dumps(raw))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(["train", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        if code == 0:  # the manifest is a config that reads back to itself
+            manifest = json.loads((Path(tmp) / "out" / "manifest.json").read_text())
+            back = spec_from_file(Path(tmp) / "out" / "manifest.json", tmp)
+            assert json.loads(json.dumps(resolved_config(back))) == manifest["config"]
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

@@ -1,13 +1,17 @@
 """Golden outputs: the sha256 of every file the program writes for a small
 fixed spec.
 
-`test_11_manifest_determinism` only shows that two runs in one process
-agree; these hashes also catch a change that moves a number for good. They
-hold for one numpy build and BLAS (float64 matmul results may differ in the
-last bit elsewhere), so the test skips on any other build.
+`test_11_manifest_determinism` only shows that a rerun from a manifest
+agrees with its run in one process; these hashes also catch a change that
+moves a number for good. They hold for one numpy build and BLAS (float64
+matmul results may differ in the last bit elsewhere), so the test skips on
+any other. Each manifest.json holds the resolved config and names that
+build, so its hash moves when a config field or default does, and only
+then.
 
 All paths handed to the program are relative to the run directory, since
-the replay trace path and the checkpoint path enter the manifest hash.
+the replay trace path and the checkpoint path are written into the
+manifest.
 """
 
 import hashlib
@@ -20,7 +24,7 @@ import pytest
 from sensorq import cli, nn
 from sensorq.baselines import GreedyQPolicy, ThresholdPolicy
 from sensorq.env import EnvConfig, SensorEnv, config_from_dict
-from sensorq.experiments import run_episode
+from sensorq.experiments import numpy_build, run_episode
 
 PINNED_ON = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 
@@ -31,45 +35,36 @@ GOLDEN = {
     "compare/curve_seed2.csv": "0d2e985e46d0eecc95624a32c6174a8321d77bb865b5ce950ce7a8481f4d6de4",
     "compare/dqn_seed1.txt": "fd9b90f10da8fe4a23c389a0f241f00bf346bbeac5581d0aec9ebb8c0258df11",
     "compare/dqn_seed2.txt": "a8c60c5378876035238872020f61c774e64d8749af7c23cb5b5b108bece55ff0",
-    "compare/manifest.json": "03ff52522575ca2c6dba8ee8e3c98e1fe72437ee739a61af70622a72d61fb8ac",
+    "compare/manifest.json": "c69f1c7d8ffa87801ace536b626e06ae8e7348986988ea180e2e55bfe377b30e",
     "reuse/compare.csv": "dca8093e21c37a9618f2cf581e318af05e9d5ab37590782adc011af581dbd958",
-    "reuse/manifest.json": "dd92ba5c272518cb3fbcf896dc8f8805ef022216da3d3fac0e8e7343a5883d61",
+    "reuse/manifest.json": "608f61701debe017718f1a09741dc5ea6a7fef365506a30d0774ebe0c1f0cbe9",
     "sweep/curve_seed1.csv": "7f9763452bc00aaaa3a4b69609f97c64055b4712220228f5995204511833c67b",
     "sweep/curve_seed2.csv": "0d2e985e46d0eecc95624a32c6174a8321d77bb865b5ce950ce7a8481f4d6de4",
     "sweep/dqn_seed1.txt": "fd9b90f10da8fe4a23c389a0f241f00bf346bbeac5581d0aec9ebb8c0258df11",
     "sweep/dqn_seed2.txt": "a8c60c5378876035238872020f61c774e64d8749af7c23cb5b5b108bece55ff0",
     "sweep/interference_sweep.csv": "22454f57e425c061f9fd5e430dd92e2e5c1536b404361e906c34d9034d1dac93",
     "sweep/interference_sweep.dat": "926c3516271312624e3d266736a861ae7a841bf0d14212783b05a93fc38e066b",
-    "sweep/manifest.json": "49ff4b3de73b38d36379ca216e6a872947dd6e42064115524af4886c94093c28",
-    "weights/manifest.json": "a4f093c9ba855d45a60e23fb58ec85d4dace03e70c8c9f517472efaa4a099544",
+    "sweep/manifest.json": "e4f1983c69ea7cc29dbbdd854e5a95c2c45615c8ded3593772063da241e23a1b",
+    "weights/manifest.json": "006ee849dc8620f78e0931bf797f04e0524da3fb4af9ab60c8363ffed469dc5c",
     "weights/weight_sweep.csv": "9c1a401e0eecf96448d79154c8caf3bfa00203414eaefa7d45c4ce1286ec2c90",
     "weights/weight_sweep.dat": "c2dea73ec0bc979fe2466001ae4c4a365bd3efa2ec8208cff4e8a996a9d06e32",
     "train/curve_seed1.csv": "7f9763452bc00aaaa3a4b69609f97c64055b4712220228f5995204511833c67b",
     "train/curve_seed2.csv": "0d2e985e46d0eecc95624a32c6174a8321d77bb865b5ce950ce7a8481f4d6de4",
     "train/dqn_seed1.txt": "fd9b90f10da8fe4a23c389a0f241f00bf346bbeac5581d0aec9ebb8c0258df11",
     "train/dqn_seed2.txt": "a8c60c5378876035238872020f61c774e64d8749af7c23cb5b5b108bece55ff0",
-    "train/manifest.json": "bfb2c708618c01ae08bc129b2dc42c82f95f38e841155e7154d1d7cbfd62a3c0",
+    "train/manifest.json": "b59ef05f6896e8b12c45a6f7763d18489ccd016297b76c67c2c5f15fef4394ac",
     "ingest/aligned.csv": "76e7d189fbfd2f364c55fe68e74333a578d3b848c89ff71a3281199f31924e77",
     "ingest/ingest_report.csv": "37914e9c72276b959ba213202b4e430a7bc6793e0e11aa30ae455c3fe7a13168",
     "replay/compare.csv": "83924283448191691ff59e78cd3165d482ea3fd539d18737ca586aa676c2acfa",
-    "replay/manifest.json": "8cc37a548e62fe2035eefe3658599c5d565c6d512a3e51aeee9f34aaf771e97b",
+    "replay/manifest.json": "a612ddcf247911d01f0d55192900ae78bbfc83fba3a565d366c95942fcfd4189",
     "episode/episode.csv": "7384112ed7091e601ca287e0a76459a604f64e99677c45aa72869f1f7627a37c",
     "interval/curve_seed1.csv": "a9660d7426b1d962e6f0aada38e9033de6af52859acc74c85a5e19cc1400aace",
     "interval/dqn_seed1.txt": "62ca3f52962ab786f8bdc1c01fde1ebaf2144e34a828d0911a052b7635a8b226",
     "interval/episode.csv": "2cdfd49c90b6ba3c67c1c89e5e15cdc0fb24eb1b576a7108573f053e8b02d6ae",
-    "interval/manifest.json": "ef328f900fce65730c05e43cb9596dd29d2b2422da225992d0b4b4c871f3d998",
+    "interval/manifest.json": "9c10db426ff11b6d50930c72119eaf3bafeb2eb8ce35983291ca81d3761c41e6",
     # everything the commands above print, in order
     "stdout": "728ce28d94e22347cd65c7995764c9996c4bfa49551a82408e6c587248ea979d",
 }
-
-
-def _build() -> dict:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        name = f"{blas['name']} {blas['version']}"
-    except Exception:  # numpy too old to report its build as a dict
-        name = "unknown"
-    return {"numpy": np.__version__, "blas": name}
 
 
 SYNTHETIC = {
@@ -133,8 +128,8 @@ def _run(argv: list[str]) -> None:
 
 
 def test_golden_outputs(tmp_path, monkeypatch, capsys):
-    if _build() != PINNED_ON:
-        pytest.skip(f"hashes pinned on {PINNED_ON}, this build is {_build()}")
+    if numpy_build() != PINNED_ON:
+        pytest.skip(f"hashes pinned on {PINNED_ON}, this build is {numpy_build()}")
     monkeypatch.chdir(tmp_path)
     Path("synthetic.json").write_text(json.dumps(SYNTHETIC))
     Path("trace.txt").write_text("\n".join(_trace_lines()) + "\n")

@@ -285,6 +285,18 @@ class TestLoadTrace:
         with pytest.raises(ConfigError, match="delta_t"):
             load_trace(write_trace(tmp_path, [GOOD]), delta_t=delta_t)
 
+    @pytest.mark.parametrize("cap, ok", [(6, True), (5, False)])
+    def test_grid_cells_are_capped(self, tmp_path, monkeypatch, cap, ok):
+        """3 slots x 2 motes = 6 cells, checked before the grid exists."""
+        monkeypatch.setattr(ingest, "MAX_GRID_CELLS", cap)
+        path = write_trace(tmp_path, ["2004-03-01 00:00:00 0 1 20.0 40.0 100.0 2.7",
+                                      "2004-03-01 00:02:59 1 2 20.0 40.0 100.0 2.7"])
+        if ok:
+            assert len(load_trace(path, delta_t=60.0)[0][1].present) == 3
+        else:
+            with pytest.raises(ConfigError, match=r"needs 3 slots x 2 motes > 5 cells"):
+                load_trace(path, delta_t=60.0)
+
 
 # few stamps, epochs and values, so slot conflicts and exact ties are common
 _LIGHT = st.sampled_from(["0", "-0", "0.0", "-0.0", "100", "1e2"])
