@@ -5,9 +5,9 @@ fixed spec.
 agrees with its run in one process; these hashes also catch a change that
 moves a number for good. They hold for one numpy build and BLAS (float64
 matmul results may differ in the last bit elsewhere), so the test skips on
-any other. Each manifest.json holds the resolved config and names that
-build, so its hash moves when a config field or default does, and only
-then.
+any other. Each manifest.json holds the resolved config and names the
+version and that build, so its hash moves with any of them, a config
+default included.
 
 All paths handed to the program are relative to the run directory, since
 the replay trace path and the checkpoint path are written into the
