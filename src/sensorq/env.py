@@ -14,8 +14,8 @@ where `gain` is how far the zero-order-hold reconstruction had drifted
 from the truth when a sample was taken (capped at 1), `cost` is the
 action's energy relative to the most expensive action, and `duplicate`
 flags a kept sample nearly identical to its predecessor. `step` returns
-the rewards as one float64 array of shape (num_sensors,); the terms
-behind each one are kept only in the episode CSV rows.
+the rewards as one float64 array of shape (num_sensors,); `reward_terms`
+rebuilds all four terms, (num_sensors, T) each, from the episode record.
 
 Two action modes:
   binary    0 = skip, 1 = sample (default)
@@ -28,9 +28,9 @@ or numpy integer is rejected, not truncated. `step` checks every sensor's
 action before it applies any, so a step that raises ValueError leaves
 batteries, ledger, kept samples and clock unchanged. Per-sensor state lives in
 Python lists, which `step` reads and writes one sensor at a time. The
-episode record is four (num_sensors, T) arrays: truth, the energy ledger
-(one column per step), a kept-sample mask and the kept values (one entry
-per kept sample); `episode_log` hands them to the metrics as they are.
+episode record is five (num_sensors, T) arrays: truth, the energy ledger
+and the action labels (one column each per step), a kept-sample mask and
+the kept values; `episode_log` hands all but the labels to the metrics.
 
 Both signal sources reduce to the same episode setup: a (num_sensors, T)
 truth matrix and one (low, high) normalization range per sensor (the
@@ -58,7 +58,8 @@ from .signals import (
 
 DEFAULT_SAMPLE_COST = {"temperature": 1.0, "humidity": 1.2, "light": 0.8, "voltage": 0.6}
 
-SKIP, SAMPLE = 0, 1
+SKIP, SAMPLE, IDLE = 0, 1, 2  # binary actions; also the int8 action labels of the record
+ACTION_LABELS = ("skip", "sample", "idle")  # the episode CSV's name for each label
 INTERVAL_SLEEPS = (1, 2, 4, 8)
 
 # observation feature layout
@@ -263,7 +264,7 @@ class SensorEnv:
         self._kept = np.zeros((n, T), dtype=bool)
         self._values = np.zeros((n, T))
         self._ledger = np.zeros((n, T))
-        self._rows: list[tuple] = []
+        self._labels = np.zeros((n, T), dtype=np.int8)
 
         if cfg.mode == "synthetic":
             tracks = [synth_track(kind, T, self._seed * 1_000_003 + i, cfg.signal, cfg.ranges[kind])
@@ -357,19 +358,16 @@ class SensorEnv:
         info_w, energy_w, redundancy_w = cfg.weights.as_tuple()
         e = self._epoch
         battery, binary = self._battery, self._binary
-        rewards, drawn_mj = [], []
+        rewards, drawn_mj, labels = [], [], []
         for i, (action, truth, span) in enumerate(zip(checked, self._truth[:, e].tolist(), self._spans)):
-            sampling = action is not None and not (binary and action == SKIP)
-            cost = self._sample_costs[i] if sampling else cfg.idle_cost
+            label = IDLE if action is None else SKIP if binary and action == SKIP else SAMPLE
+            labels.append(label)
+            cost = self._sample_costs[i] if label == SAMPLE else cfg.idle_cost
             drawn = min(battery[i], cost)
             battery[i] -= drawn
             drawn_mj.append(drawn)
             gain = duplicate = 0.0
-            kept_value = None
-            if not sampling:
-                label = "idle" if action is None else "skip"
-            else:
-                label = "sample"
+            if label == SAMPLE:
                 if not binary:
                     self._sleep_until[i] = e + INTERVAL_SLEEPS[action]
                 measured, kept = inject_interference(
@@ -390,10 +388,8 @@ class SensorEnv:
                     self._last_epoch[i], self._last_value[i] = e, kept_value
                     self._value_obs[i] = min(1.0, max(0.0, (kept_value - self._los[i]) / span))
             cost /= self._c_max
-            total = info_w * gain - energy_w * cost - redundancy_w * duplicate
-            self._rows.append((e, i, label, truth, kept_value, gain, cost, duplicate, total))
-            rewards.append(total)
-        self._ledger[:, e] = drawn_mj
+            rewards.append(info_w * gain - energy_w * cost - redundancy_w * duplicate)
+        self._ledger[:, e], self._labels[:, e] = drawn_mj, labels
         self._epoch = e = e + 1
         self._done = e == cfg.epochs
         self._free = [until <= e and b > 0.0 for until, b in zip(self._sleep_until, battery)]
@@ -401,26 +397,34 @@ class SensorEnv:
 
     # -- episode artifacts ---------------------------------------------------
 
-    def _require_finished(self) -> None:
-        if not self._done:
-            raise ValueError("no finished episode: reset() and step to the end first")
-
     def episode_log(self) -> metrics.EpisodeLog:
         """Metrics-ready record of the finished episode, over the env's own
         arrays (the next reset allocates new ones)."""
-        self._require_finished()
+        if not self._done:
+            raise ValueError("no finished episode: reset() and step to the end first")
         return metrics.EpisodeLog(self._truth, self._ledger, self._kept, self._values,
                                   self._events, np.array(self._spans))
 
+    def reward_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(gain, cost, duplicate, reward) of the finished episode, (num_sensors, T) each,
+        by the step's own float expressions: reward is step's rewards, stacked, bit for bit."""
+        cfg, log, w = self.config, self.episode_log(), self.config.weights
+        drift = np.abs(log.truth - np.roll(log.held, 1, axis=1)) / log.spans[:, None]
+        gain = np.where(log.later, np.minimum(1.0, drift), log.kept)  # 1.0 at a sensor's first sample
+        cost = np.where(self._labels == SAMPLE, np.c_[self._sample_costs], cfg.idle_cost) / self._c_max
+        duplicate = metrics.duplicates(log, cfg.delta_red).astype(np.float64)
+        return gain, cost, duplicate, w.info * gain - w.energy * cost - w.redundancy * duplicate
+
     def write_episode_csv(self, path) -> None:
         """Dump the per-epoch trace (actions, values, reward terms) of the
-        finished episode."""
-        self._require_finished()
+        finished episode, one row per (epoch, sensor)."""
+        log, fmt = self.episode_log(), metrics.fmt
+        arrays = (self._labels, log.truth, log.kept, log.values, *self.reward_terms())
         metrics.write_csv(
             path,
             ["epoch", "sensor", "action", "true_value", "kept_value",
              "gain", "cost", "duplicate", "reward"],
-            ([e, i, label, metrics.fmt(truth), "" if kept is None else metrics.fmt(kept),
-              *(metrics.fmt(x) for x in terms)]
-             for e, i, label, truth, kept, *terms in self._rows),
+            ([e, i, ACTION_LABELS[label], fmt(truth), fmt(value) if kept else "", *map(fmt, terms)]
+             for e, epoch in enumerate(zip(*(a.T.tolist() for a in arrays)))
+             for i, (label, truth, kept, value, *terms) in enumerate(zip(*epoch))),
         )

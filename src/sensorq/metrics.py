@@ -52,6 +52,11 @@ class EpisodeLog:
         """zoh_hold of the kept values, built once for the metrics that read it."""
         return zoh_hold(self.kept, self.values)
 
+    @cached_property
+    def later(self) -> np.ndarray:
+        """Mask of the kept samples other than each sensor's first."""
+        return self.kept & (np.arange(self.epochs) > np.argmax(self.kept, axis=1)[:, None])
+
 
 @dataclass
 class MetricsRow:
@@ -110,13 +115,17 @@ def energy_total(log: EpisodeLog) -> float:
     return float(np.mean(log.energy.sum(axis=1)))
 
 
+def duplicates(log: EpisodeLog, delta_red: float) -> np.ndarray:
+    """Mask of the kept samples, other than each sensor's first, within
+    delta_red x span of the value held at the epoch before them."""
+    held_before = np.roll(log.held, 1, axis=1)  # column 0 is never a later sample
+    return log.later & (np.abs(log.values - held_before) < delta_red * log.spans[:, None])
+
+
 def redundancy_rate(log: EpisodeLog, delta_red: float) -> float:
-    """Percent of kept samples nearly identical to their predecessor."""
-    kept = log.kept
-    later = kept[:, 1:] & (np.arange(1, log.epochs) > np.argmax(kept, axis=1)[:, None])  # not the first
-    step = np.abs(log.values[:, 1:] - log.held[:, :-1])
-    dup = np.count_nonzero(later & (step < delta_red * log.spans[:, None]), axis=1)
-    n = np.count_nonzero(kept, axis=1)
+    """Percent of kept samples that are duplicates of their predecessor."""
+    dup = np.count_nonzero(duplicates(log, delta_red), axis=1)
+    n = np.count_nonzero(log.kept, axis=1)
     return float(np.mean(np.where(n > 1, 100.0 * dup / np.maximum(n, 1), 0.0)))
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -13,6 +14,7 @@ from sensorq.env import (
     OBS_KIND,
     OBS_TIME,
     OBS_VALUE,
+    IDLE,
     SKIP,
     SAMPLE,
     EnvConfig,
@@ -35,9 +37,13 @@ def small_config(**overrides):
     return EnvConfig(**base)
 
 
-def last_terms(env):
-    """(gain, cost, duplicate) of each sensor in the last step, from the CSV rows."""
-    return [row[5:8] for row in env._rows[-env.num_sensors:]]
+def terms_at(env, e):
+    """(gain, cost, duplicate) of each sensor at step e, from reward_terms()
+    once the episode is finished with skips (binary mode)."""
+    while env.epoch < env.config.epochs:
+        env.step([SKIP] * env.num_sensors)
+    gain, cost, duplicate, _ = env.reward_terms()
+    return list(zip(gain[:, e].tolist(), cost[:, e].tolist(), duplicate[:, e].tolist()))
 
 
 class TestReset:
@@ -71,7 +77,7 @@ class TestStep:
         assert rewards.dtype == np.float64 and rewards.shape == (2,)
         assert not env._kept.any()
         np.testing.assert_allclose(env._battery, cfg.battery_mj - cfg.idle_cost)
-        for gain, cost, duplicate in last_terms(env):
+        for gain, cost, duplicate in terms_at(env, 0):
             assert gain == 0.0 and duplicate == 0.0
             assert cost == cfg.idle_cost / cfg.max_action_cost
 
@@ -180,7 +186,7 @@ class TestReward:
         env = SensorEnv(cfg)
         env.reset(0)
         rewards, *_ = env.step([SKIP, SKIP])
-        for r, (_, cost, _) in zip(rewards, last_terms(env)):
+        for r, (_, cost, _) in zip(rewards, terms_at(env, 0)):
             assert r == -0.7 * cost
 
     def test_duplicate_sample_penalty(self):
@@ -194,7 +200,7 @@ class TestReward:
         env.reset(0)
         env.step([SAMPLE])
         rewards, *_ = env.step([SAMPLE])
-        [(gain, cost, duplicate)] = last_terms(env)
+        [(gain, cost, duplicate)] = terms_at(env, 1)
         assert gain == 0.0 and duplicate == 1.0
         assert rewards[0] == -0.5 * cost - 0.25
 
@@ -202,20 +208,51 @@ class TestReward:
         env = SensorEnv(small_config())
         env.reset(2)
         env.step([SAMPLE, SKIP])
-        assert last_terms(env)[0][0] == 1.0
+        assert terms_at(env, 0)[0][0] == 1.0
 
     def test_recomposition_is_exact(self):
         cfg = small_config(epochs=15, weights=RewardWeights(0.37, 0.41, 0.22))
         env = SensorEnv(cfg)
         env.reset(6)
         rng = np.random.default_rng(1)
+        stepped = []
         done = False
         while not done:
             acts = [int(rng.integers(2)) if m else SKIP for m in env.decision_mask]
             rewards, _, done, _ = env.step(acts)
-            for r, (gain, cost, duplicate) in zip(rewards.tolist(), last_terms(env)):
-                assert r == 0.37 * gain - 0.41 * cost - 0.22 * duplicate
-            assert [row[8] for row in env._rows[-2:]] == rewards.tolist()
+            stepped.append(rewards.tolist())
+        gain, cost, duplicate, reward = (a.T.tolist() for a in env.reward_terms())
+        assert reward == stepped
+        for e, rewards in enumerate(stepped):
+            for r, g, c, d in zip(rewards, gain[e], cost[e], duplicate[e]):
+                assert r == 0.37 * g - 0.41 * c - 0.22 * d
+
+    @pytest.mark.parametrize("action_mode, labels", [("binary", {"skip", "sample", "idle"}),
+                                                     ("interval", {"sample", "idle"})])
+    def test_rebuilt_rewards_equal_the_stepped_ones(self, tmp_path, action_mode, labels):
+        """Whole episodes with dropped samples (eta > 0) and sensors that run
+        empty: reward_terms()[3] is the step rewards, stacked, bit for bit."""
+        cfg = small_config(sensors=["temperature", "light", "voltage"], epochs=40, battery_mj=9.0,
+                           eta=0.6, drop_prob=0.5, action_mode=action_mode,
+                           weights=RewardWeights(0.37, 0.41, 0.22), delta_red=0.2)
+        env = SensorEnv(cfg)
+        rng = np.random.default_rng(7)
+        for seed in range(3):
+            env.reset(seed)
+            stepped, done = [], False
+            while not done:
+                acts = [int(rng.integers(env.num_actions)) if m else None for m in env.decision_mask]
+                rewards, _, done, _ = env.step(acts)
+                stepped.append(rewards)
+            gain, cost, duplicate, reward = env.reward_terms()
+            assert reward.dtype == np.float64 and reward.shape == (3, 40)
+            assert reward.tobytes() == np.stack(stepped, axis=1).tobytes()
+            assert (env._labels == SAMPLE).sum() > env._kept.sum() > 0  # some samples dropped
+            assert (env._labels == IDLE).any() and duplicate.any()
+            assert np.array_equal(gain > 0, env._kept)
+            env.write_episode_csv(tmp_path / "episode.csv")
+            with open(tmp_path / "episode.csv", newline="") as fh:
+                assert {row["action"] for row in csv.DictReader(fh)} == labels
 
     def test_reward_scales_linearly_with_weights(self):
         script_rng = np.random.default_rng(2)
@@ -285,6 +322,8 @@ class TestEpisodeLog:
                 env.episode_log()
             with pytest.raises(ValueError):
                 env.write_episode_csv(tmp_path / "episode.csv")
+            with pytest.raises(ValueError):
+                env.reward_terms()
             env.reset(0)
             env.step([SAMPLE, SKIP])
 
