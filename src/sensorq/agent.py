@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import TrainingDiverged, is_int, is_real, require, require_keys
+from .errors import TrainingDiverged, dataclass_kwargs, is_int, is_real, require
 from .metrics import fmt, write_csv
 
 
@@ -156,7 +156,7 @@ class AgentHyperParams:
 def hypers_from_dict(raw: dict) -> AgentHyperParams:
     """Build and validate hyperparameters from the `agent` config section;
     malformed values raise TypeError or ValueError."""
-    raw = require_keys(raw, AgentHyperParams.__dataclass_fields__, "agent")
+    raw = dataclass_kwargs(raw, AgentHyperParams, "agent")
     hp = AgentHyperParams(**{k: tuple(v) if k == "hidden" else v for k, v in raw.items()})
     hp.validate()
     return hp

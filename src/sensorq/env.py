@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .errors import as_float, is_int, is_real, require, require_keys
+from .errors import as_float, dataclass_kwargs, is_int, is_real, require
 from .signals import (
     CHANNEL_RANGE,
     KIND_INDEX,
@@ -186,18 +186,17 @@ def config_from_dict(raw: dict) -> EnvConfig:
 
     Malformed nested values raise TypeError or ValueError, which
     experiments.spec_from_file turns into a ConfigError."""
-    kw = dict(require_keys(raw, EnvConfig.__dataclass_fields__, "env"))
+    kw = dataclass_kwargs(raw, EnvConfig, "env")
     if "weights" in kw:
-        w = require_keys(kw["weights"], RewardWeights.__dataclass_fields__, "env.weights")
-        kw["weights"] = RewardWeights(**{k: as_float(v) for k, v in w.items()})
+        kw["weights"] = RewardWeights(**dataclass_kwargs(kw["weights"], RewardWeights, "env.weights"))
     if "signal" in kw:
-        kw["signal"] = SignalParams(
-            **require_keys(kw["signal"], SignalParams.__dataclass_fields__, "env.signal"))
+        kw["signal"] = SignalParams(**dataclass_kwargs(kw["signal"], SignalParams, "env.signal"))
+    if "sample_costs" in kw:
+        kw["sample_costs"] = {k: as_float(v) for k, v in kw["sample_costs"].items()}
     if "ranges" in kw:
         kw["ranges"] = {k: (as_float(lo), as_float(hi)) for k, (lo, hi) in kw["ranges"].items()}
     if kw.get("replay") is not None:  # null, like no replay key, means none
-        r = dict(require_keys(kw["replay"], ReplayConfig.__dataclass_fields__, "env.replay"))
-        r.update({k: as_float(v) for k, v in r.items() if k in ("delta_t", "min_presence")})
+        r = dataclass_kwargs(kw["replay"], ReplayConfig, "env.replay")
         kw["replay"] = ReplayConfig(**dict(r, sensors=[(m, k) for m, k in r.get("sensors", [])]))
     cfg = EnvConfig(**kw)
     cfg.validate()

@@ -44,3 +44,12 @@ def require_keys(raw, known, section: str) -> dict:
     for key in raw:
         require(key in known, f"unknown {section} config key {key!r}")
     return raw
+
+
+def dataclass_kwargs(raw, cls, section: str) -> dict:
+    """The JSON object raw as keyword arguments of the dataclass cls: every
+    key must name a field, and each float field's number becomes a float,
+    so that 12 and 12.0 give one config (and one config_sha256)."""
+    fields = cls.__dataclass_fields__
+    require_keys(raw, fields, section)
+    return {k: as_float(v) if fields[k].type == "float" else v for k, v in raw.items()}

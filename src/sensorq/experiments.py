@@ -113,7 +113,7 @@ def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
         require_keys(raw, ("env", "agent", "experiment"), "top-level")
         exp = dict(require_keys(raw.get("experiment", {}), EXPERIMENT_KEYS, "experiment"))
         if "weight_triples" in exp:
-            exp["weight_triples"] = [tuple(t) for t in exp["weight_triples"]]
+            exp["weight_triples"] = [tuple(map(as_float, t)) for t in exp["weight_triples"]]
         if "eta_grid" in exp:
             exp["eta_grid"] = [as_float(e) for e in exp["eta_grid"]]
         if seeds is not None:

@@ -125,6 +125,27 @@ class TestSpec:
         assert all(getattr(back, k) == getattr(spec, k) for k in EXPERIMENT_KEYS)
         assert resolved_config(back) == resolved_config(spec)
 
+    def test_int_and_float_spellings_give_one_manifest(self, tmp_path):
+        """A float field written as a JSON int reads as that float, so the
+        manifest and its config_sha256 depend on the values alone."""
+        def manifest(num):
+            config = {
+                "env": {"sensors": ["temperature"], "epochs": 10, "battery_mj": num(12),
+                        "idle_cost": num(0), "sample_costs": {"temperature": num(1)},
+                        "weights": {"info": num(1), "energy": num(0), "redundancy": num(0)},
+                        "signal": {"sin_amp": num(0)}, "ranges": {"temperature": [num(0), num(50)]},
+                        "replay": {"sensors": [[1, "temperature"]], "delta_t": num(30)}},
+                "agent": {"lr": num(1), "gamma": num(1)},
+                "experiment": {"weight_triples": [[num(1), num(0), num(0)], [num(0), num(1), num(0)]],
+                               "eta_grid": [num(0), num(1)]},
+            }
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            write_manifest(spec_from_file(tmp_path / "config.json", tmp_path), "compare", tmp_path)
+            return (tmp_path / "manifest.json").read_bytes()
+
+        assert manifest(int) == manifest(float)
+        assert b'"battery_mj": 12.0' in manifest(int)
+
     def test_manifest_run_fields_are_not_read(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"config": CONFIG_JSON, "experiment": "compare",

@@ -61,7 +61,7 @@ GOLDEN = {
     "interval/curve_seed1.csv": "a9660d7426b1d962e6f0aada38e9033de6af52859acc74c85a5e19cc1400aace",
     "interval/dqn_seed1.txt": "62ca3f52962ab786f8bdc1c01fde1ebaf2144e34a828d0911a052b7635a8b226",
     "interval/episode.csv": "2cdfd49c90b6ba3c67c1c89e5e15cdc0fb24eb1b576a7108573f053e8b02d6ae",
-    "interval/manifest.json": "9c10db426ff11b6d50930c72119eaf3bafeb2eb8ce35983291ca81d3761c41e6",
+    "interval/manifest.json": "9ce310a5c1bbe69daf58474aeefbf7694a223460a3d189ba407f856d52496d55",
     # everything the commands above print, in order
     "stdout": "728ce28d94e22347cd65c7995764c9996c4bfa49551a82408e6c587248ea979d",
 }
