@@ -97,7 +97,8 @@ EXPERIMENT_KEYS = ("policies", "seeds", "train_episodes", "eval_episodes", "weig
 
 def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
     """Build a spec from the documented JSON schema (env/agent/experiment),
-    or from the `config` object of a manifest.json (nothing else in it).
+    or from a manifest.json: its `config` object and the `checkpoint` of its
+    run record (nothing else in it).
 
     The one place config values enter: a value of the wrong type or out of
     range, or an unknown key, ends here or in ExperimentSpec.validate as a
@@ -108,8 +109,11 @@ def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     try:
+        checkpoint = None
         if isinstance(raw, dict) and "config" in raw:
-            raw = raw["config"]
+            raw, checkpoint = raw["config"], raw.get("checkpoint")
+            require(checkpoint is None or isinstance(checkpoint, str),
+                    "manifest checkpoint must be a path or null")
         require_keys(raw, ("env", "agent", "experiment"), "top-level")
         exp = dict(require_keys(raw.get("experiment", {}), EXPERIMENT_KEYS, "experiment"))
         if "weight_triples" in exp:
@@ -119,7 +123,8 @@ def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
         if seeds is not None:
             exp["seeds"] = list(seeds)
         return ExperimentSpec(config_from_dict(raw.get("env", {})),
-                              hypers_from_dict(raw.get("agent", {})), out_dir=Path(out_dir), **exp)
+                              hypers_from_dict(raw.get("agent", {})), out_dir=Path(out_dir),
+                              checkpoint=checkpoint, **exp)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 

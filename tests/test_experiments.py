@@ -147,10 +147,18 @@ class TestSpec:
         assert b'"battery_mj": 12.0' in manifest(int)
 
     def test_manifest_run_fields_are_not_read(self, tmp_path):
+        """Of the run record only `checkpoint` is read back: `experiment` and
+        `version` are not, whatever they say."""
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"config": CONFIG_JSON, "experiment": "compare",
-                                    "version": "other", "checkpoint": "missing.txt"}))
-        assert spec_from_file(path, tmp_path).seeds == [4, 5]
+        record = {"config": CONFIG_JSON, "experiment": "train", "version": "other"}
+        for checkpoint in ("missing.txt", None):
+            path.write_text(json.dumps(dict(record, checkpoint=checkpoint)))
+            spec = spec_from_file(path, tmp_path)
+            assert spec.seeds == [4, 5] and spec.checkpoint == checkpoint
+        for bad in (5, ["net.txt"], {"path": "net.txt"}):
+            path.write_text(json.dumps(dict(record, checkpoint=bad)))
+            with pytest.raises(ConfigError, match="checkpoint"):
+                spec_from_file(path, tmp_path)
 
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -257,6 +265,24 @@ class TestCompare:
         spec = tiny_spec(tmp_path, train_missing=False)
         with pytest.raises(ConfigError):
             run_compare(spec)
+
+    def test_checkpoint_manifest_reruns_with_no_flags(self, tmp_path, monkeypatch):
+        """A `compare --checkpoint` manifest names its snapshot, so a rerun
+        from it alone evaluates that snapshot again; --checkpoint overrides."""
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(dict(
+            CONFIG_JSON, experiment=dict(CONFIG_JSON["experiment"], policies=["fixed(1)", "dqn"]))))
+        assert cli.main(["compare", "--config", "config.json", "--out", "train", "--train"]) == 0
+        assert cli.main(["compare", "--config", "config.json", "--out", "reuse",
+                         "--checkpoint", "train/dqn_seed4.txt"]) == 0
+        assert cli.main(["compare", "--config", "reuse/manifest.json", "--out", "again"]) == 0
+        for name in ("compare.csv", "manifest.json"):
+            assert Path("reuse", name).read_bytes() == Path("again", name).read_bytes(), name
+        assert cli.main(["compare", "--config", "reuse/manifest.json", "--out", "other",
+                         "--checkpoint", "train/dqn_seed5.txt"]) == 0
+        manifest = json.loads(Path("other/manifest.json").read_text())
+        assert manifest["checkpoint"] == "train/dqn_seed5.txt"
+        assert Path("other/compare.csv").read_bytes() != Path("reuse/compare.csv").read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec_a = tiny_spec(tmp_path / "a")
