@@ -252,7 +252,7 @@ def matched_random_rate(cfg: EnvConfig, energy_mj: float) -> float:
 
 def run_train(spec: ExperimentSpec) -> list[TrainResult]:
     """Train one agent per seed; the results come back in seed order."""
-    _, trace = _prologue(spec, "train")
+    _, trace = _prologue(replace(spec, checkpoint=None), "train")  # trains anew: no checkpoint
     return _train_per_seed(spec, spec.env, trace)
 
 
@@ -297,7 +297,7 @@ WEIGHT_COLUMNS = ["info_w", "energy_w", "redundancy_w", *metrics.REPORT_COLUMNS[
 
 def run_weight_sweep(spec: ExperimentSpec, check: bool = False) -> list[dict]:
     """Train and evaluate one agent per reward-weight triple."""
-    out_dir, trace = _prologue(spec, "weight-sweep")
+    out_dir, trace = _prologue(replace(spec, checkpoint=None), "weight-sweep")  # trains anew
     results = []
     for triple in spec.weight_triples:
         cfg = replace(spec.env, weights=RewardWeights(*triple))

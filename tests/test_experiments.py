@@ -283,6 +283,9 @@ class TestCompare:
         manifest = json.loads(Path("other/manifest.json").read_text())
         assert manifest["checkpoint"] == "train/dqn_seed5.txt"
         assert Path("other/compare.csv").read_bytes() != Path("reuse/compare.csv").read_bytes()
+        # train uses no snapshot, so its manifest names none
+        assert cli.main(["train", "--config", "reuse/manifest.json", "--out", "trained"]) == 0
+        assert json.loads(Path("trained/manifest.json").read_text())["checkpoint"] is None
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec_a = tiny_spec(tmp_path / "a")
