@@ -191,7 +191,7 @@ def config_from_dict(raw: dict) -> EnvConfig:
         kw["weights"] = RewardWeights(**dataclass_kwargs(kw["weights"], RewardWeights, "env.weights"))
     if "signal" in kw:
         kw["signal"] = SignalParams(**dataclass_kwargs(kw["signal"], SignalParams, "env.signal"))
-    if "sample_costs" in kw:
+    if isinstance(kw.get("sample_costs"), dict):  # anything else fails validate, by name
         kw["sample_costs"] = {k: as_float(v) for k, v in kw["sample_costs"].items()}
     if "ranges" in kw:
         kw["ranges"] = {k: (as_float(lo), as_float(hi)) for k, (lo, hi) in kw["ranges"].items()}
@@ -405,8 +405,8 @@ class SensorEnv:
                                   self._events, np.array(self._spans))
 
     def reward_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(gain, cost, duplicate, reward) of the finished episode, (num_sensors, T) each,
-        by the step's own float expressions: reward is step's rewards, stacked, bit for bit."""
+        """(gain, cost, duplicate, reward) of the finished episode, (num_sensors, T) each, by
+        the step's own float expressions: reward equals the stacked `step` rewards bit for bit."""
         cfg, log, w = self.config, self.episode_log(), self.config.weights
         drift = np.abs(log.truth - np.roll(log.held, 1, axis=1)) / log.spans[:, None]
         gain = np.where(log.later, np.minimum(1.0, drift), log.kept)  # 1.0 at a sensor's first sample

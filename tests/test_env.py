@@ -384,6 +384,9 @@ class TestConfig:
             config_from_dict({"weights": {"info": 0, "energy": 0, "redundancy": 0}})
         with pytest.raises(ConfigError):
             config_from_dict({"sensors": ["plutonium"]})
+        for costs in ([1.0], 5, {"temperature": "1"}):
+            with pytest.raises(ConfigError, match="sample_costs"):
+                config_from_dict({"sample_costs": costs})
 
 
 @given(
