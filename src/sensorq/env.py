@@ -75,6 +75,10 @@ OBS_DIM = OBS_KIND + len(KINDS)
 SLOPE_EWMA = 0.3
 
 
+def _is_pair(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2
+
+
 @dataclass(frozen=True)
 class RewardWeights:
     info: float = 0.6
@@ -150,7 +154,7 @@ class EnvConfig:
             require(isinstance(k, str) and k in KIND_INDEX, f"unknown channel kind {k!r}")
         if self.mode == "synthetic":
             require(isinstance(self.ranges, dict) and all(
-                len(self.ranges.get(k, ())) == 2 and all(map(is_real, self.ranges[k])) for k in kinds
+                _is_pair(self.ranges.get(k)) and all(map(is_real, self.ranges[k])) for k in kinds
             ), "ranges need a [low, high] pair of numbers for every sensor kind")
         require(is_int(self.epochs, 2), "epochs must be an integer >= 2")
         costs = self.sample_costs
@@ -193,8 +197,9 @@ def config_from_dict(raw: dict) -> EnvConfig:
         kw["signal"] = SignalParams(**dataclass_kwargs(kw["signal"], SignalParams, "env.signal"))
     if isinstance(kw.get("sample_costs"), dict):  # anything else fails validate, by name
         kw["sample_costs"] = {k: as_float(v) for k, v in kw["sample_costs"].items()}
-    if "ranges" in kw:
-        kw["ranges"] = {k: (as_float(lo), as_float(hi)) for k, (lo, hi) in kw["ranges"].items()}
+    ranges = kw.get("ranges")
+    if isinstance(ranges, dict) and all(map(_is_pair, ranges.values())):  # else validate names it
+        kw["ranges"] = {k: (as_float(lo), as_float(hi)) for k, (lo, hi) in ranges.items()}
     if kw.get("replay") is not None:  # null, like no replay key, means none
         r = dataclass_kwargs(kw["replay"], ReplayConfig, "env.replay")
         kw["replay"] = ReplayConfig(**dict(r, sensors=[(m, k) for m, k in r.get("sensors", [])]))
@@ -233,7 +238,10 @@ class SensorEnv:
         self._binary = config.action_mode == "binary"
         self.num_actions = 2 if self._binary else len(INTERVAL_SLEEPS)
         self._sample_costs = [config.sample_costs[k] for k in self.kinds]
-        self._c_max = config.max_action_cost
+        self._c_max = c_max = config.max_action_cost
+        info_w, energy_w, redundancy_w = self._weights = config.weights.as_tuple()
+        self._scaled_costs = [cost / c_max for cost in self._sample_costs]  # the reward's cost term
+        self._idle_reward = info_w * 0.0 - energy_w * (config.idle_cost / c_max) - redundancy_w * 0.0
         one_hot = np.eye(len(KINDS))[[KIND_INDEX[k] for k in self.kinds]]
         self._obs_template = np.hstack([np.zeros((self.num_sensors, OBS_KIND)), one_hot])
         phases = [2.0 * np.pi * e / config.signal.period for e in range(config.epochs + 1)]
@@ -262,6 +270,7 @@ class SensorEnv:
         # fresh arrays every episode: episode_log hands them out without a copy
         self._kept = np.zeros((n, T), dtype=bool)
         self._values = np.zeros((n, T))
+        self._kept_rows, self._value_rows = list(self._kept), list(self._values)  # views: cheaper writes
         self._ledger = np.zeros((n, T))
         self._labels = np.zeros((n, T), dtype=np.int8)
 
@@ -346,48 +355,50 @@ class SensorEnv:
             raise ValueError("reset() the environment before stepping")
         if len(actions) != self.num_sensors:
             raise ValueError(f"need {self.num_sensors} actions, got {len(actions)}")
+        binary, n_actions = self._binary, self.num_actions
         for i, (action, free) in enumerate(zip(actions, self._free)):
-            if free and not (is_int(action, 0) and action < self.num_actions):
+            whole = isinstance(action, int) and type(action) is not bool  # is_int: no bool, float, np.int64
+            if free and not (whole and 0 <= action < n_actions):
                 raise ValueError(f"sensor {i}: invalid action {action!r}")
-            if not (free or action is None or self._binary and is_int(action, 0) and action == SKIP):
+            if not (free or action is None or binary and whole and action == SKIP):
                 raise ValueError(f"sensor {i} cannot act this epoch (dormant or empty)")
-        checked = [action if free else None for action, free in zip(actions, self._free)]  # None idles
 
         cfg = self.config
-        info_w, energy_w, redundancy_w = cfg.weights.as_tuple()
-        e = self._epoch
-        battery, binary = self._battery, self._binary
+        info_w, energy_w, redundancy_w = self._weights
+        e, battery, idle_cost = self._epoch, self._battery, cfg.idle_cost
         rewards, drawn_mj, labels = [], [], []
-        for i, (action, truth, span) in enumerate(zip(checked, self._truth[:, e].tolist(), self._spans)):
-            label = IDLE if action is None else SKIP if binary and action == SKIP else SAMPLE
-            labels.append(label)
-            cost = self._sample_costs[i] if label == SAMPLE else cfg.idle_cost
-            drawn = min(battery[i], cost)
+        for i, (action, free, truth, span) in enumerate(
+                zip(actions, self._free, self._truth[:, e].tolist(), self._spans)):
+            idle = not free or binary and action == SKIP
+            drawn = min(battery[i], idle_cost if idle else self._sample_costs[i])
             battery[i] -= drawn
             drawn_mj.append(drawn)
+            if idle:  # no gain, no duplicate
+                labels.append(SKIP if free else IDLE)
+                rewards.append(self._idle_reward)
+                continue
+            labels.append(SAMPLE)
             gain = duplicate = 0.0
-            if label == SAMPLE:
-                if not binary:
-                    self._sleep_until[i] = e + INTERVAL_SLEEPS[action]
-                measured, kept = inject_interference(
-                    truth, cfg.eta, self._noise_rng, cfg.noise_beta, span, cfg.drop_prob
-                )
-                if kept:
-                    kept_value = float(measured)
-                    prev_epoch, prev_value = self._last_epoch[i], self._last_value[i]
-                    if prev_epoch < 0:
-                        gain = 1.0  # no reconstruction existed yet: maximal information
-                    else:
-                        gain = min(1.0, abs(truth - prev_value) / span)
-                        if abs(kept_value - prev_value) < cfg.delta_red * span:
-                            duplicate = 1.0
-                        step_slope = (kept_value - prev_value) / ((e - prev_epoch) * span)
-                        self._slope[i] = (1 - SLOPE_EWMA) * self._slope[i] + SLOPE_EWMA * step_slope
-                    self._kept[i, e], self._values[i, e] = True, kept_value
-                    self._last_epoch[i], self._last_value[i] = e, kept_value
-                    self._value_obs[i] = min(1.0, max(0.0, (kept_value - self._los[i]) / span))
-            cost /= self._c_max
-            rewards.append(info_w * gain - energy_w * cost - redundancy_w * duplicate)
+            if not binary:
+                self._sleep_until[i] = e + INTERVAL_SLEEPS[action]
+            measured, kept = inject_interference(
+                truth, cfg.eta, self._noise_rng, cfg.noise_beta, span, cfg.drop_prob
+            )
+            if kept:
+                kept_value = float(measured)
+                prev_epoch, prev_value = self._last_epoch[i], self._last_value[i]
+                if prev_epoch < 0:
+                    gain = 1.0  # no reconstruction existed yet: maximal information
+                else:
+                    gain = min(1.0, abs(truth - prev_value) / span)
+                    if abs(kept_value - prev_value) < cfg.delta_red * span:
+                        duplicate = 1.0
+                    step_slope = (kept_value - prev_value) / ((e - prev_epoch) * span)
+                    self._slope[i] = (1 - SLOPE_EWMA) * self._slope[i] + SLOPE_EWMA * step_slope
+                self._kept_rows[i][e], self._value_rows[i][e] = True, kept_value
+                self._last_epoch[i], self._last_value[i] = e, kept_value
+                self._value_obs[i] = min(1.0, max(0.0, (kept_value - self._los[i]) / span))
+            rewards.append(info_w * gain - energy_w * self._scaled_costs[i] - redundancy_w * duplicate)
         self._ledger[:, e], self._labels[:, e] = drawn_mj, labels
         self._epoch = e = e + 1
         self._done = e == cfg.epochs

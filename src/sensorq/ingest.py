@@ -11,11 +11,13 @@ spoils only its own line. Date and time take exactly the forms
 datetime.strptime accepts for "%Y-%m-%d %H:%M:%S[.%f]" (4-digit year, 1-2
 digit month, day, hour, minute and second, 1-6 digit fraction) and are read
 as UTC, so the result does not depend on the machine's timezone; an
-impossible date or clock (Feb 30, second 60) skips.
+impossible date or clock (Feb 30, second 60) skips. Each date string is read
+once: a cache holds the day of the last DATE_CACHE distinct dates.
 
 Epoch and mote must fit in int64. Lines that cannot be parsed are
 skipped, never fatal; each skip carries a reason code so ingestion is
-auditable. Kept readings go into typed columns (56 bytes a line) and are
+auditable. Parsed readings go into typed columns (56 bytes a line); one
+mask over the columns then drops the implausible ones, and the kept rows are
 bucketed onto a regular grid of width delta_t seconds (finite and > 0)
 starting at the earliest kept timestamp (slot = floor((t - t0) /
 delta_t)). Of one mote's readings in one slot the largest (timestamp,
@@ -29,7 +31,8 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
+from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -58,14 +61,13 @@ MAX_GRID_CELLS = 2**26  # (slot, mote) cells of 33 B; the Intel Lab trace at 31 
 _BLOCK = 4096  # lines parsed before their readings move into the columns
 _UNIX_DAY = date(1970, 1, 1).toordinal()
 
-# strptime's own pattern (_strptime.TimeRE) for "%Y-%m-%d %H:%M:%S" with an
-# optional ".%f"; `\d` is Unicode, as there, and int() reads what it matches
-_STAMP = re.compile(
-    r"(?P<Y>\d\d\d\d)-(?P<m>1[0-2]|0[1-9]|[1-9])-(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
-    r"\s+(?P<H>2[0-3]|[0-1]\d|\d):(?P<M>[0-5]\d|\d):(?P<S>6[0-1]|[0-5]\d|\d)"
-    r"(?:\.(?P<f>[0-9]{1,6}))?",
-    re.IGNORECASE,
-)
+DATE_CACHE = 4096  # distinct date strings whose day seconds parse_line keeps
+
+# strptime's own patterns (_strptime.TimeRE) for "%Y-%m-%d" and "%H:%M:%S" with
+# an optional ".%f", less the seconds 60 and 61 that datetime rejects; `\d` is
+# Unicode, as there, and int() reads what it matches
+_DATE = re.compile(r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9]|[1-9])", re.IGNORECASE)
+_CLOCK = re.compile(r"(2[0-3]|[0-1]\d|\d):([0-5]\d|\d):([0-5]\d|\d)(?:\.([0-9]{1,6}))?", re.IGNORECASE)
 
 
 class SensorReading(NamedTuple):
@@ -93,8 +95,8 @@ class IngestReport:
     kept: int = 0
     skipped: dict = field(default_factory=dict)
 
-    def skip(self, reason: str) -> None:
-        self.skipped[reason] = self.skipped.get(reason, 0) + 1
+    def skip(self, reason: str, count: int = 1) -> None:
+        self.skipped[reason] = self.skipped.get(reason, 0) + count
 
     @property
     def total_skipped(self) -> int:
@@ -115,6 +117,16 @@ class MoteSeries:
     stats: dict[str, tuple[float, float]]
 
 
+@lru_cache(maxsize=DATE_CACHE)
+def _day_seconds(text: str) -> int | None:
+    """UTC seconds at the start of a date field, None where strptime rejects it."""
+    match = _DATE.fullmatch(text)
+    try:  # date rejects what the pattern lets through: Feb 30, year 0
+        return match and (date(*map(int, match.groups())).toordinal() - _UNIX_DAY) * 86400
+    except ValueError:
+        return None
+
+
 def parse_line(line: str) -> SensorReading | ParseSkip:
     """Map one trace line to a reading; malformed lines become skips."""
     fields = line.split()
@@ -131,17 +143,13 @@ def parse_line(line: str) -> SensorReading | ParseSkip:
         return ParseSkip(R_NUMBER)
     if mote < 1 or epoch < 0:
         return ParseSkip(R_RANGE)
-    match = _STAMP.fullmatch(f"{fields[0]} {fields[1]}")
-    if match is None:
+    day = _day_seconds(fields[0])
+    clock = _CLOCK.fullmatch(fields[1])
+    if day is None or clock is None:
         return ParseSkip(R_NUMBER)
-    *clock, frac = match.groups()
-    year, month, day, hour, minute, second = map(int, clock)
-    try:  # datetime rejects what the pattern lets through: Feb 30, second 60, year 0
-        days = datetime(year, month, day, hour, minute, second).toordinal() - _UNIX_DAY
-    except ValueError:
-        return ParseSkip(R_NUMBER)
+    hour, minute, second, frac = clock.groups()
     micro = int(frac.ljust(6, "0")) if frac else 0
-    stamp = days * 86400 + hour * 3600 + minute * 60 + second + micro / 1e6
+    stamp = day + int(hour) * 3600 + int(minute) * 60 + int(second) + micro / 1e6
     return SensorReading._make((stamp, epoch, mote, *channels))
 
 
@@ -153,32 +161,32 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
     the grid would exceed MAX_GRID_CELLS (slots x motes).
     """
     require(is_real(delta_t) and delta_t > 0, f"delta_t must be a finite number > 0, got {delta_t!r}")
-    (t_lo, t_hi), (h_lo, h_hi), (l_lo, l_hi), (v_lo, v_hi) = (PLAUSIBLE[ch] for ch in CHANNELS)
     report = IngestReport()
-    columns = [array(code) for code in "dqqdddd"]  # SensorReading's fields, one row per kept line
+    columns = [array(code) for code in "dqqdddd"]  # SensorReading's fields, one row per parsed line
     with open(path, encoding="utf-8", errors="replace") as fh:
         while block := list(islice(fh, _BLOCK)):
             report.total += len(block)
-            kept = []
-            for parsed in map(parse_line, block):
-                if isinstance(parsed, ParseSkip):
-                    report.skip(parsed.reason)
-                elif (
-                    t_lo <= parsed.temperature <= t_hi
-                    and h_lo <= parsed.humidity <= h_hi
-                    and l_lo <= parsed.light <= l_hi
-                    and v_lo <= parsed.voltage <= v_hi
-                ):
-                    kept.append(parsed)
+            parsed = []
+            for reading in map(parse_line, block):
+                if isinstance(reading, ParseSkip):
+                    report.skip(reading.reason)
                 else:
-                    report.skip(R_RANGE)
-            for column, values in zip(columns, zip(*kept)):
+                    parsed.append(reading)
+            for column, values in zip(columns, zip(*parsed)):
                 column.extend(values)
-    report.kept = len(columns[0])
+    # plausibility is the last check, so an implausible row has no other fault
+    columns = [np.frombuffer(c, dtype=c.typecode) for c in columns]
+    plausible = np.logical_and.reduce(
+        [(lo <= col) & (col <= hi) for col, (lo, hi) in zip(columns[3:], map(PLAUSIBLE.get, CHANNELS))]
+    )
+    report.kept = int(np.count_nonzero(plausible))
+    if report.kept < len(plausible):
+        report.skip(R_RANGE, len(plausible) - report.kept)
+        columns = [col[plausible] for col in columns]
     if not report.kept:
         raise ConfigError(f"no usable readings in {path}")
 
-    stamps, epochs, motes, *channels = (np.frombuffer(c, dtype=c.typecode) for c in columns)
+    stamps, epochs, motes, *channels = columns
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny delta_t gives inf: rejected below
         slots = (stamps - stamps.min()) // delta_t  # whole numbers; float64 until checked below
 

@@ -99,7 +99,7 @@ class TestStep:
         cfg = small_config(sensors=["temperature", "voltage"], battery_mj=3.0)
         env = SensorEnv(cfg)
         env.reset(0)
-        for bad in ([0.9, True], [1.5, 1], [SKIP, True]):  # not truncated to an int
+        for bad in ([0.9, True], [1.5, 1], [SKIP, True], [np.int64(1), SKIP]):  # not truncated to an int
             with pytest.raises(ValueError):
                 env.step(bad)
         assert env.epoch == 0 and not env._kept.any() and not env._ledger.any()
@@ -108,7 +108,8 @@ class TestStep:
         battery, ledger = env._battery.copy(), env._ledger.copy()
         kept, values, epoch = env._kept.copy(), env._values.copy(), env.epoch
         # [SAMPLE, SAMPLE]: temperature is checked and valid; voltage is not
-        for bad in ([SAMPLE, SAMPLE], [0.9, True], [1.5, 1], [SKIP, False], [SKIP, 0.0]):
+        for bad in ([SAMPLE, SAMPLE], [0.9, True], [1.5, 1], [SKIP, False], [SKIP, 0.0],
+                    [np.int64(1), SKIP]):
             with pytest.raises(ValueError):
                 env.step(bad)
             np.testing.assert_array_equal(env._battery, battery)

@@ -506,6 +506,8 @@ class TestCli:
             {"experiment": {"seeds": [True]}},
             {"experiment": {"train_epsiodes": 1}},
             {"env": {"ranges": {"light": [0, 100]}}},
+            {"env": {"ranges": [1]}},
+            {"env": {"ranges": {"temperature": [1, 2, 3]}}},
             {"env": {"weights": {"infos": 1.0}}},
             {"agnet": {"lr": 0.01}},
             {"experiment": {"policies": ["fixed(1-)"]}},
@@ -521,7 +523,7 @@ class TestCli:
              "train-per-step-fraction", "replay-capacity-fraction", "n-events-fraction",
              "min-event-epoch-fraction", "seed-negative", "idle-cost-nan", "battery-inf",
              "detection-window-true", "start-slot-true", "seed-true", "experiment-key-typo",
-             "ranges-missing-kind", "unknown-weights-key", "unknown-section",
+             "ranges-missing-kind", "ranges-list", "ranges-triple", "unknown-weights-key", "unknown-section",
              "policy-bad-number", "fixed-period-fraction", "replay-capacity-below-batch",
              "replay-capacity-0", "hard-copy-every-removed"],
     )
@@ -532,6 +534,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+        if "ranges" in raw.get("env", {}):
+            assert "ranges" in err
 
     def test_negative_seed_argument_is_one_line_exit_1(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

@@ -3,7 +3,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +156,16 @@ class TestParseLine:
         else:
             assert isinstance(r, SensorReading) and r.timestamp == expected
 
+    def test_more_dates_than_the_cache_holds(self):
+        """Each of DATE_CACHE + 100 distinct dates, and the first again once it
+        has been evicted, gives strptime's stamp; the cache stays in its bound."""
+        days = [date(1999, 12, 31) + timedelta(days=k) for k in range(ingest.DATE_CACHE + 100)]
+        for day in [*days, days[0]]:
+            text = f"{day.year}-{day.month}-{day.day:02d}"
+            r = parse_line(f"{text} 12:00:59.5 2 1 19.9 37.0 45.0 2.69")
+            assert r.timestamp == strptime_timestamp(text, "12:00:59.5")
+        assert ingest._day_seconds.cache_info().currsize <= ingest.DATE_CACHE
+
     @given(st.text())
     def test_never_raises(self, line):
         assert isinstance(parse_line(line), (SensorReading, ParseSkip))
@@ -298,12 +308,19 @@ class TestLoadTrace:
                 load_trace(path, delta_t=60.0)
 
 
-# few stamps, epochs and values, so slot conflicts and exact ties are common
+# few stamps, epochs and values, so slot conflicts and exact ties are common; the
+# stamps cross a day boundary after a leap day, and one day has four spellings
 _LIGHT = st.sampled_from(["0", "-0", "0.0", "-0.0", "100", "1e2"])
+_STAMP = st.one_of(
+    st.builds("2004-02-29 {}".format, st.sampled_from(["23:59:00", "23:59:30.25", "23:59:59.999999"])),
+    st.builds("{} {}".format,
+              st.sampled_from(["2004-03-01", "2004-3-1", "2004-03-1", "2004-3-01"]),
+              st.sampled_from(["00:00:00", "00:00:00.5", "00:00:30", "00:00:59.999999", "00:01:00",
+                               "00:01:00.000001", "00:02:30", "00:04:00"])),
+)
 _LINE = st.builds(
-    "2004-03-01 {} {} {} {} {} {} {}".format,
-    st.sampled_from(["00:00:00", "00:00:00.5", "00:00:30", "00:00:59.999999", "00:01:00",
-                     "00:01:00.000001", "00:02:30", "00:04:00"]),
+    "{} {} {} {} {} {} {}".format,
+    _STAMP,
     st.integers(0, 3),
     st.integers(1, 3),
     st.sampled_from(["20", "21.5", "-0", "0.0"]),
@@ -314,9 +331,15 @@ _LINE = st.builds(
 _BAD_LINE = st.sampled_from([
     "",
     "junk",
-    "2004-03-01 00:00:00 0 1 200 40 100 2.7",
+    "2004-03-01 00:00:00 0 1 200 40 100 2.7",  # each channel out of its window
+    "2004-03-01 00:00:00 0 1 -10.5 40 100 2.7",
+    "2004-3-1 00:00:00 0 1 20 100.5 100 2.7",
+    "2004-03-01 00:00:00 0 1 20 40 -1 2.7",
+    "2004-02-29 23:59:59 0 1 20 40 100 1.4",
     "2004-03-01 00:00:00 0 0 20 40 100 2.7",
     f"2004-03-01 00:00:00 0 {2**64} 20 40 100 2.7",
+    "2004-02-30 00:00:00 0 1 20 40 100 2.7",
+    "2004-03-01 00:00:60 0 1 20 40 100 2.7",
 ])
 
 
@@ -372,6 +395,8 @@ class TestGridMatchesKeyTupleOracle:
         lines = data.draw(st.permutations(good + duplicates + relit + bad))
         with tempfile.TemporaryDirectory() as tmp:
             assert_matches_key_tuple_oracle(write_trace(Path(tmp), lines), lines, delta_t)
+        for line in good:  # each line's cached date gives strptime's stamp
+            assert parse_line(line).timestamp == strptime_timestamp(*line.split()[:2])
 
 
 _RSS_PROBE = """
