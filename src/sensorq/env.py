@@ -152,10 +152,11 @@ class EnvConfig:
         require(kinds, "need at least one sensor")
         for k in kinds:
             require(isinstance(k, str) and k in KIND_INDEX, f"unknown channel kind {k!r}")
-        if self.mode == "synthetic":
-            require(isinstance(self.ranges, dict) and all(
-                _is_pair(self.ranges.get(k)) and all(map(is_real, self.ranges[k])) for k in kinds
-            ), "ranges need a [low, high] pair of numbers for every sensor kind")
+        ranges = self.ranges  # read in synthetic mode only, but checked in both
+        require(isinstance(ranges, dict)
+                and all(_is_pair(r) and all(map(is_real, r)) for r in ranges.values())
+                and (self.mode == "replay" or all(k in ranges for k in kinds)),
+                "ranges need a [low, high] pair of numbers for every sensor kind")
         require(is_int(self.epochs, 2), "epochs must be an integer >= 2")
         costs = self.sample_costs
         require(is_real(self.idle_cost, 0.0) and isinstance(costs, dict)
@@ -357,7 +358,7 @@ class SensorEnv:
             raise ValueError(f"need {self.num_sensors} actions, got {len(actions)}")
         binary, n_actions = self._binary, self.num_actions
         for i, (action, free) in enumerate(zip(actions, self._free)):
-            whole = isinstance(action, int) and type(action) is not bool  # is_int: no bool, float, np.int64
+            whole = isinstance(action, int) and type(action) is not bool  # is_int's rule, inline
             if free and not (whole and 0 <= action < n_actions):
                 raise ValueError(f"sensor {i}: invalid action {action!r}")
             if not (free or action is None or binary and whole and action == SKIP):

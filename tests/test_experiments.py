@@ -508,6 +508,8 @@ class TestCli:
             {"env": {"ranges": {"light": [0, 100]}}},
             {"env": {"ranges": [1]}},
             {"env": {"ranges": {"temperature": [1, 2, 3]}}},
+            {"env": {"mode": "replay", "ranges": [1],
+                     "replay": {"path": "trace.txt", "sensors": [[1, "temperature"]]}}},
             {"env": {"weights": {"infos": 1.0}}},
             {"agnet": {"lr": 0.01}},
             {"experiment": {"policies": ["fixed(1-)"]}},
@@ -523,7 +525,8 @@ class TestCli:
              "train-per-step-fraction", "replay-capacity-fraction", "n-events-fraction",
              "min-event-epoch-fraction", "seed-negative", "idle-cost-nan", "battery-inf",
              "detection-window-true", "start-slot-true", "seed-true", "experiment-key-typo",
-             "ranges-missing-kind", "ranges-list", "ranges-triple", "unknown-weights-key", "unknown-section",
+             "ranges-missing-kind", "ranges-list", "ranges-triple",
+             "ranges-list-replay", "unknown-weights-key", "unknown-section",
              "policy-bad-number", "fixed-period-fraction", "replay-capacity-below-batch",
              "replay-capacity-0", "hard-copy-every-removed"],
     )
