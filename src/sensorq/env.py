@@ -35,12 +35,14 @@ the kept values; `episode_log` hands all but the labels to the metrics.
 Both signal sources reduce to the same episode setup: a (num_sensors, T)
 truth matrix and one (low, high) normalization range per sensor (the
 configured channel range, or the series' min and max over a replayed
-trace).
+trace). EpisodeInputs builds that setup once per episode and experiment:
+every policy, eta and weight triple evaluated on an episode shares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,31 +211,115 @@ def config_from_dict(raw: dict) -> EnvConfig:
     return cfg
 
 
-def load_replay_trace(config: EnvConfig) -> dict | None:
-    """The hold-filled series of the trace a replay config names, read once
-    so that every SensorEnv(config, trace) replaying it can share them;
-    None in synthetic mode."""
-    if config.mode != "replay":
-        return None
-    require(config.replay.path, "replay mode needs preloaded series or a trace path")
-    from . import ingest
+def _inputs_key(config: EnvConfig) -> EnvConfig:
+    """The config but eta and the reward weights, which sweeps vary and
+    episode inputs never read: configs with one key share their inputs."""
+    return replace(config, eta=0.0, weights=RewardWeights())
 
-    series, _ = ingest.load_trace(config.replay.path, delta_t=config.replay.delta_t)
-    return {m: ingest.hold_fill(s) for m, s in series.items()}
+
+class EpisodeInputs:
+    """What every SensorEnv of one experiment shares: the inputs that depend
+    on neither eta, the reward weights nor the policy.
+
+    That is the observation clock, each sensor's normalization (low, span),
+    in replay mode the hold-filled series of the trace (read once) and their
+    usable episode windows, and a memo from episode to its (truth, events).
+    The first env to reset to an episode (a seed, or in replay mode the
+    seed's window) fills the memo and every later one reads it, so the truth
+    matrices are read-only. Experiments build one per call and drop it on
+    return; a SensorEnv built without one gets its own, with no memo.
+    """
+
+    def __init__(self, config: EnvConfig):
+        config.validate()
+        self.config = config
+        self.key = _inputs_key(config)
+        phases = [2.0 * np.pi * e / config.signal.period for e in range(config.epochs + 1)]
+        self.clock = [(float(np.sin(p)), float(np.cos(p))) for p in phases]  # OBS_SIN, OBS_COS
+        self.memo: dict | None = {}
+        if config.mode == "synthetic":
+            self.series, self.windows = None, []
+            ranges = [config.ranges[kind] for kind in config.sensor_kinds]
+        else:
+            require(config.replay.path, "replay mode needs a trace path")
+            from . import ingest
+
+            series, _ = ingest.load_trace(config.replay.path, delta_t=config.replay.delta_t)
+            self.series = {m: ingest.hold_fill(s) for m, s in series.items()}
+            self.windows = self._usable_windows()
+            require(self.windows, "trace has no usable episode windows")
+            ranges = [self.series[mote].stats[kind] for mote, kind in config.replay.sensors]
+        self.los = [lo for lo, _ in ranges]
+        self.spans = [hi - lo if hi > lo else 1.0 for lo, hi in ranges]
+
+    def without_memo(self) -> EpisodeInputs:
+        """The same inputs with no memo, for training: its seeds never repeat."""
+        twin = copy.copy(self)
+        twin.memo = None
+        return twin
+
+    def episode(self, seed: int) -> tuple[np.ndarray, list]:
+        """(truth, events) of the episode `seed`: a read-only (num_sensors, T)
+        truth matrix and each sensor's event epochs. Replay mode plays the
+        window `seed` picks, with the events detected in it."""
+        cfg, memo = self.config, self.memo
+        key = seed if cfg.mode == "synthetic" else self.windows[seed % len(self.windows)]
+        if memo is not None and key in memo:
+            return memo[key]
+        if cfg.mode == "synthetic":
+            tracks = [synth_track(kind, cfg.epochs, seed * 1_000_003 + i, cfg.signal, cfg.ranges[kind])
+                      for i, kind in enumerate(cfg.sensor_kinds)]
+            truth, events = [t.values for t in tracks], [t.events for t in tracks]
+        else:
+            truth = [self.series[mote].values[kind][key : key + cfg.epochs]
+                     for mote, kind in cfg.replay.sensors]
+            events = [detect_events(v) for v in truth]
+        truth = np.array(truth, dtype=np.float64)
+        truth.flags.writeable = False
+        if memo is not None:
+            memo[key] = truth, events
+        return truth, events
+
+    def _usable_windows(self) -> list[int]:
+        cfg = self.config
+        T = cfg.epochs
+        first = cfg.replay.start_slot
+        windows = None
+        for mote, _ in cfg.replay.sensors:
+            require(mote in self.series, f"mote {mote} missing from trace")
+            ms = self.series[mote]
+            last = len(ms.present)
+            if cfg.replay.end_slot is not None:
+                last = min(last, cfg.replay.end_slot)  # windows lie wholly inside the trace
+            require(last - first >= T, f"trace range for mote {mote} shorter than one episode")
+            mine = {
+                s
+                for s in range(first, last - T + 1, T)
+                if ms.present[s : s + T].mean() >= cfg.replay.min_presence
+            }
+            windows = mine if windows is None else windows & mine
+        return sorted(windows or [])
 
 
 class SensorEnv:
     """Multi-sensor sampling environment over synthetic or replayed signals.
 
     One instance is single-threaded and owns all of its randomness; a
-    (config, seed) pair fully determines an episode.
+    (config, seed) pair fully determines an episode. `inputs` is the
+    experiment's EpisodeInputs, built for a config that differs from this
+    one at most in eta and the reward weights; without it the env builds
+    its own.
     """
 
     obs_dim = OBS_DIM
 
-    def __init__(self, config: EnvConfig, trace=None):
+    def __init__(self, config: EnvConfig, inputs: EpisodeInputs | None = None):
         config.validate()
+        if inputs is None:
+            inputs = EpisodeInputs(config).without_memo()
+        require(inputs.key == _inputs_key(config), "episode inputs were built for another config")
         self.config = config
+        self._inputs = inputs
         self.kinds = config.sensor_kinds
         self.num_sensors = len(self.kinds)
         self._binary = config.action_mode == "binary"
@@ -245,10 +331,7 @@ class SensorEnv:
         self._idle_reward = info_w * 0.0 - energy_w * (config.idle_cost / c_max) - redundancy_w * 0.0
         one_hot = np.eye(len(KINDS))[[KIND_INDEX[k] for k in self.kinds]]
         self._obs_template = np.hstack([np.zeros((self.num_sensors, OBS_KIND)), one_hot])
-        phases = [2.0 * np.pi * e / config.signal.period for e in range(config.epochs + 1)]
-        self._clock = [(float(np.sin(p)), float(np.cos(p))) for p in phases]  # OBS_SIN, OBS_COS
-        self._trace = trace
-        self._windows: list[int] | None = None
+        self._clock, self._los, self._spans = inputs.clock, inputs.los, inputs.spans
         self._epoch = -1  # reset() required before stepping
         self._done = False  # True once an episode has run to its end
 
@@ -274,54 +357,8 @@ class SensorEnv:
         self._kept_rows, self._value_rows = list(self._kept), list(self._values)  # views: cheaper writes
         self._ledger = np.zeros((n, T))
         self._labels = np.zeros((n, T), dtype=np.int8)
-
-        if cfg.mode == "synthetic":
-            tracks = [synth_track(kind, T, self._seed * 1_000_003 + i, cfg.signal, cfg.ranges[kind])
-                      for i, kind in enumerate(self.kinds)]
-            truth = [t.values for t in tracks]
-            self._events = [t.events for t in tracks]
-            ranges = [cfg.ranges[kind] for kind in self.kinds]
-        else:
-            truth, ranges = self._reset_replay()
-            self._events = [detect_events(v) for v in truth]
-        self._truth = np.array(truth, dtype=np.float64)
-        self._los = [lo for lo, _ in ranges]
-        self._spans = [hi - lo if hi > lo else 1.0 for lo, hi in ranges]
+        self._truth, self._events = self._inputs.episode(self._seed)
         return self._observations()
-
-    def _reset_replay(self) -> tuple[list[np.ndarray], list[tuple[float, float]]]:
-        """This seed's episode window of every replayed series, with the
-        (min, max) of each series over the whole trace."""
-        cfg = self.config
-        if self._trace is None:
-            self._trace = load_replay_trace(cfg)
-        if self._windows is None:
-            self._windows = self._usable_windows()
-        require(self._windows, "trace has no usable episode windows")
-        start = self._windows[self._seed % len(self._windows)]
-        series = [(self._trace[mote], kind) for mote, kind in cfg.replay.sensors]
-        return ([ms.values[kind][start : start + cfg.epochs] for ms, kind in series],
-                [ms.stats[kind] for ms, kind in series])
-
-    def _usable_windows(self) -> list[int]:
-        cfg = self.config
-        T = cfg.epochs
-        first = cfg.replay.start_slot
-        windows = None
-        for mote, _ in cfg.replay.sensors:
-            require(mote in self._trace, f"mote {mote} missing from trace")
-            ms = self._trace[mote]
-            last = len(ms.present)
-            if cfg.replay.end_slot is not None:
-                last = min(last, cfg.replay.end_slot)  # windows lie wholly inside the trace
-            require(last - first >= T, f"trace range for mote {mote} shorter than one episode")
-            mine = {
-                s
-                for s in range(first, last - T + 1, T)
-                if ms.present[s : s + T].mean() >= cfg.replay.min_presence
-            }
-            windows = mine if windows is None else windows & mine
-        return sorted(windows or [])
 
     # -- observations ------------------------------------------------------
 
@@ -409,8 +446,10 @@ class SensorEnv:
     # -- episode artifacts ---------------------------------------------------
 
     def episode_log(self) -> metrics.EpisodeLog:
-        """Metrics-ready record of the finished episode, over the env's own
-        arrays (the next reset allocates new ones)."""
+        """Metrics-ready record of the finished episode, without copies. The
+        kept mask, values and ledger are the env's own arrays, which the next
+        reset replaces; the truth matrix is read-only and shared with every
+        env of the experiment that plays this episode."""
         if not self._done:
             raise ValueError("no finished episode: reset() and step to the end first")
         return metrics.EpisodeLog(self._truth, self._ledger, self._kept, self._values,

@@ -2,11 +2,11 @@
 interference sweep.
 
 run_train, run_compare, run_weight_sweep and run_interference_sweep share
-one path: _prologue validates, creates the output directory, reads a
-replay trace once per run and writes the manifest; _train_per_seed
-writes every dqn_seed<s>.txt and curve_seed<s>.csv; _report evaluates a
-policy under every seed and aggregates the rows; every table goes out
-through metrics.write_csv.
+one path: _prologue validates, creates the output directory, builds the
+run's EpisodeInputs (reading a replay trace once) and writes the manifest;
+_train_per_seed writes every dqn_seed<s>.txt and curve_seed<s>.csv;
+_report evaluates a policy under every seed and aggregates the rows; every
+table goes out through metrics.write_csv.
 
 Every run is pinned by (config, seed list): training episode seeds,
 evaluation episode seeds, and per-episode policy randomness all derive
@@ -17,6 +17,12 @@ Seed plumbing
     training episode e of agent seed s   -> s * 1_000_003 + e
     evaluation episode e under seed s    -> s * 524_287 + 100_000 + e
     policy rng for an episode            -> episode_seed * 7_919 + 13
+
+Each evaluation episode's inputs (its truth matrix and events, built from
+the episode seed) are built once per experiment call and shared by every
+policy, eta and weight triple evaluated on it (env.EpisodeInputs); the
+shared inputs are the ones each cell would build alone, and no option
+controls the sharing.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from . import __version__, metrics, nn
 from .agent import AgentHyperParams, TrainResult, hypers_from_dict, train, write_curve_csv
 from .baselines import FixedPolicy, GreedyQPolicy, RandomPolicy, ThresholdPolicy
-from .env import EnvConfig, RewardWeights, SensorEnv, config_from_dict, load_replay_trace
+from .env import EnvConfig, EpisodeInputs, RewardWeights, SensorEnv, config_from_dict
 from .errors import CheckFailure, ConfigError, as_float, is_int, is_real, require, require_keys
 
 EVAL_BASE = 100_000
@@ -144,13 +150,14 @@ def run_episode(env: SensorEnv, policy, episode_seed: int) -> metrics.EpisodeLog
 
 
 def evaluate_policy(
-    cfg: EnvConfig, policy, seed: int, episodes: int, label: str, trace=None
+    cfg: EnvConfig, policy, seed: int, episodes: int, label: str, inputs: EpisodeInputs | None = None
 ) -> metrics.MetricsRow:
     """Mean metrics over `episodes` evaluation episodes for one seed.
 
-    `trace` is handed to SensorEnv: the replay series from
-    `load_replay_trace(cfg)`, or None to have the env read them itself."""
-    env = SensorEnv(cfg, trace)
+    `inputs` is handed to SensorEnv: the experiment's EpisodeInputs, whose
+    episodes every evaluation of the experiment shares, or None to have the
+    env build its own."""
+    env = SensorEnv(cfg, inputs)
     scores = []
     for ep in range(episodes):
         log = run_episode(env, policy, seed * EVAL_STRIDE + EVAL_BASE + ep)
@@ -163,9 +170,11 @@ def evaluate_policy(
 
 
 def train_dqn(
-    cfg: EnvConfig, hypers: AgentHyperParams, episodes: int, seed: int, trace=None
+    cfg: EnvConfig, hypers: AgentHyperParams, episodes: int, seed: int,
+    inputs: EpisodeInputs | None = None,
 ) -> TrainResult:
-    return train(SensorEnv(cfg, trace), hypers, episodes, seed)
+    """Train on `inputs` without its memo: training episode seeds never repeat."""
+    return train(SensorEnv(cfg, inputs and inputs.without_memo()), hypers, episodes, seed)
 
 
 _POLICY_RE = re.compile(r"^(fixed|random|threshold)\((-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)\)$")
@@ -183,23 +192,23 @@ def make_baseline(text: str, horizon: int):
     return ThresholdPolicy(arg, horizon=horizon)
 
 
-def _prologue(spec: ExperimentSpec, kind: str) -> tuple[Path, dict | None]:
-    """Validate the spec, create the output directory, read the replay trace
-    once and write the manifest; every experiment starts here."""
+def _prologue(spec: ExperimentSpec, kind: str) -> tuple[Path, EpisodeInputs]:
+    """Validate the spec, create the output directory, build the run's
+    EpisodeInputs and write the manifest; every experiment starts here."""
     spec.validate(kind)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = load_replay_trace(spec.env)
+    inputs = EpisodeInputs(spec.env)
     write_manifest(spec, kind, out_dir)
-    return out_dir, trace
+    return out_dir, inputs
 
 
-def _train_per_seed(spec: ExperimentSpec, cfg: EnvConfig, trace) -> list[TrainResult]:
+def _train_per_seed(spec: ExperimentSpec, cfg: EnvConfig, inputs) -> list[TrainResult]:
     """Train one agent per seed, in seed order, writing dqn_seed<s>.txt and
     curve_seed<s>.csv for each."""
     results = []
     for s in spec.seeds:
-        result = train_dqn(cfg, spec.hypers, spec.train_episodes, s, trace)
+        result = train_dqn(cfg, spec.hypers, spec.train_episodes, s, inputs)
         nn.save_network(result.params, Path(spec.out_dir) / f"dqn_seed{s}.txt")
         write_curve_csv(result, Path(spec.out_dir) / f"curve_seed{s}.csv")
         results.append(result)
@@ -207,7 +216,7 @@ def _train_per_seed(spec: ExperimentSpec, cfg: EnvConfig, trace) -> list[TrainRe
 
 
 def _dqn_params_per_seed(
-    spec: ExperimentSpec, cfg: EnvConfig, trace
+    spec: ExperimentSpec, cfg: EnvConfig, inputs
 ) -> dict[int, nn.NetworkParams]:
     """Checkpoint if given (shared across seeds), otherwise train per seed."""
     if spec.checkpoint:
@@ -215,7 +224,7 @@ def _dqn_params_per_seed(
             params = nn.load_network(spec.checkpoint)
         except ValueError as exc:
             raise ConfigError(f"checkpoint {spec.checkpoint}: {exc}") from exc
-        shape = (SensorEnv.obs_dim, SensorEnv(cfg).num_actions)
+        shape = (SensorEnv.obs_dim, SensorEnv(cfg, inputs).num_actions)
         if (params.in_dim, params.out_dim) != shape:
             raise ConfigError(
                 f"checkpoint {spec.checkpoint}: network maps {params.in_dim} -> "
@@ -223,18 +232,18 @@ def _dqn_params_per_seed(
             )
         return {s: params for s in spec.seeds}
     require(spec.train_missing, "dqn policy needs a checkpoint or training enabled")
-    return {s: r.params for s, r in zip(spec.seeds, _train_per_seed(spec, cfg, trace))}
+    return {s: r.params for s, r in zip(spec.seeds, _train_per_seed(spec, cfg, inputs))}
 
 
 def _report(
-    spec: ExperimentSpec, cfg: EnvConfig, text: str, dqn_params: dict, trace
+    spec: ExperimentSpec, cfg: EnvConfig, text: str, dqn_params: dict, inputs
 ) -> metrics.MetricsReport:
     """Evaluate policy `text` under every seed of the spec and aggregate
     the per-seed rows; "dqn" runs the seed's network from `dqn_params`."""
     rows = []
     for s in spec.seeds:
         policy = GreedyQPolicy(dqn_params[s]) if text == "dqn" else make_baseline(text, cfg.epochs)
-        rows.append(evaluate_policy(cfg, policy, s, spec.eval_episodes, text, trace))
+        rows.append(evaluate_policy(cfg, policy, s, spec.eval_episodes, text, inputs))
     return metrics.aggregate(rows, spec.seeds)
 
 
@@ -252,25 +261,27 @@ def matched_random_rate(cfg: EnvConfig, energy_mj: float) -> float:
 
 def run_train(spec: ExperimentSpec) -> list[TrainResult]:
     """Train one agent per seed; the results come back in seed order."""
-    _, trace = _prologue(replace(spec, checkpoint=None), "train")  # trains anew: no checkpoint
-    return _train_per_seed(spec, spec.env, trace)
+    _, inputs = _prologue(replace(spec, checkpoint=None), "train")  # trains anew: no checkpoint
+    return _train_per_seed(spec, spec.env, inputs)
 
 
 def run_compare(spec: ExperimentSpec, check: bool = False) -> list[metrics.MetricsReport]:
     """Policy-comparison table, one aggregated row per policy."""
-    out_dir, trace = _prologue(spec, "compare")
+    out_dir, inputs = _prologue(spec, "compare")
     cfg = spec.env
-    dqn_params = _dqn_params_per_seed(spec, cfg, trace) if "dqn" in spec.policies else {}
-    reports = [_report(spec, cfg, text, dqn_params, trace) for text in spec.policies]
+    dqn_params = _dqn_params_per_seed(spec, cfg, inputs) if "dqn" in spec.policies else {}
+    reports = [_report(spec, cfg, text, dqn_params, inputs) for text in spec.policies]
     metrics.write_reports_csv(reports, out_dir / "compare.csv")
     if check:
-        check_compare(spec, reports, trace)
+        check_compare(spec, reports, inputs)
     return reports
 
 
-def check_compare(spec: ExperimentSpec, reports: list[metrics.MetricsReport], trace=None) -> None:
+def check_compare(
+    spec: ExperimentSpec, reports: list[metrics.MetricsReport], inputs: EpisodeInputs | None = None
+) -> None:
     """Directional assertions mirroring the published comparison table;
-    `trace` as for evaluate_policy."""
+    `inputs` as for evaluate_policy."""
     by = {r.policy: r for r in reports}
     if "dqn" not in by or "fixed(1)" not in by:
         raise CheckFailure("compare --check needs both dqn and fixed(1) in policies")
@@ -282,7 +293,7 @@ def check_compare(spec: ExperimentSpec, reports: list[metrics.MetricsReport], tr
         failures.append("dqn redundancy not below fixed(1)")
     q_hat = matched_random_rate(spec.env, dqn.energy_mj)
     # repr() round-trips the float, so this parses back to RandomPolicy(q_hat)
-    matched = _report(spec, spec.env, f"random({q_hat!r})", {}, trace)
+    matched = _report(spec, spec.env, f"random({q_hat!r})", {}, inputs)
     if not dqn.detection_pct >= matched.detection_pct:
         failures.append(
             f"dqn detection {dqn.detection_pct:.1f}% below matched random "
@@ -297,13 +308,13 @@ WEIGHT_COLUMNS = ["info_w", "energy_w", "redundancy_w", *metrics.REPORT_COLUMNS[
 
 def run_weight_sweep(spec: ExperimentSpec, check: bool = False) -> list[dict]:
     """Train and evaluate one agent per reward-weight triple."""
-    out_dir, trace = _prologue(replace(spec, checkpoint=None), "weight-sweep")  # trains anew
+    out_dir, inputs = _prologue(replace(spec, checkpoint=None), "weight-sweep")  # trains anew
     results = []
     for triple in spec.weight_triples:
         cfg = replace(spec.env, weights=RewardWeights(*triple))
-        params = {s: train_dqn(cfg, spec.hypers, spec.train_episodes, s, trace).params
+        params = {s: train_dqn(cfg, spec.hypers, spec.train_episodes, s, inputs).params
                   for s in spec.seeds}
-        results.append({"triple": triple, "report": _report(spec, cfg, "dqn", params, trace)})
+        results.append({"triple": triple, "report": _report(spec, cfg, "dqn", params, inputs)})
     metrics.write_csv(
         out_dir / "weight_sweep.csv", WEIGHT_COLUMNS,
         ([metrics.fmt(w) for w in c["triple"]] + metrics.report_cells(c["report"])
@@ -339,14 +350,14 @@ def run_interference_sweep(spec: ExperimentSpec, check: bool = False) -> list[di
     Learned agents are trained once per seed at eta = 0 and then
     evaluated, frozen, at each grid level (robustness, not retraining).
     """
-    out_dir, trace = _prologue(spec, "interference-sweep")
+    out_dir, inputs = _prologue(spec, "interference-sweep")
     clean_cfg = replace(spec.env, eta=0.0)
-    dqn_params = _dqn_params_per_seed(spec, clean_cfg, trace) if "dqn" in spec.policies else {}
+    dqn_params = _dqn_params_per_seed(spec, clean_cfg, inputs) if "dqn" in spec.policies else {}
 
     results = []
     for text in spec.policies:
         for eta in spec.eta_grid:
-            r = _report(spec, replace(spec.env, eta=float(eta)), text, dqn_params, trace)
+            r = _report(spec, replace(spec.env, eta=float(eta)), text, dqn_params, inputs)
             results.append(
                 {"policy": text, "eta": float(eta), "quality": r.quality,
                  "quality_std": r.quality_std}

@@ -18,6 +18,7 @@ from sensorq.env import (
     SKIP,
     SAMPLE,
     EnvConfig,
+    EpisodeInputs,
     RewardWeights,
     SensorEnv,
     config_from_dict,
@@ -315,6 +316,16 @@ class TestEpisodeLog:
         assert log.kept.shape == log.energy.shape == (2, 10)
         assert log.events == env._events
         np.testing.assert_array_equal(log.spans, env._spans)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_truth_is_read_only(self, shared):
+        cfg = small_config(epochs=4)
+        env = SensorEnv(cfg, EpisodeInputs(cfg) if shared else None)
+        env.reset(2)
+        for _ in range(4):
+            env.step([SAMPLE, SKIP])
+        with pytest.raises(ValueError):
+            env.episode_log().truth[0, 0] = 1.0
 
     def test_log_requires_finished_episode(self, tmp_path):
         env = SensorEnv(small_config())

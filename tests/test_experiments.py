@@ -5,7 +5,7 @@ import io
 import json
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensorq import env as env_mod
 from sensorq import ingest, metrics, nn
 from sensorq.agent import AgentHyperParams
 from sensorq.baselines import FixedPolicy, GreedyQPolicy, RandomPolicy, ThresholdPolicy
-from sensorq.env import OBS_DIM, EnvConfig, ReplayConfig, RewardWeights, SensorEnv
+from sensorq.env import OBS_DIM, EnvConfig, EpisodeInputs, ReplayConfig, RewardWeights, SensorEnv
 from sensorq.errors import CheckFailure, ConfigError
 from sensorq.experiments import (
+    EVAL_BASE,
+    EVAL_STRIDE,
     EXPERIMENT_KEYS,
     ExperimentSpec,
     check_interference,
@@ -38,7 +41,7 @@ from sensorq.experiments import (
     write_manifest,
 )
 from sensorq import cli
-from sensorq.signals import SignalParams
+from sensorq.signals import KINDS, SignalParams
 
 
 def tiny_env(**overrides):
@@ -296,6 +299,18 @@ class TestCompare:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def counting(monkeypatch, module, name):
+    """Count the calls made through `module.name` (the name callers look up)."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "runner", [run_compare, run_weight_sweep, run_interference_sweep, run_train]
 )
@@ -304,13 +319,7 @@ def test_replay_trace_read_once_per_experiment(tmp_path, monkeypatch, runner):
     trace.write_text(
         "".join(f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 9}.0 40.0 100.0 2.7\n" for i in range(12))
     )
-    real, calls = ingest.load_trace, []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(ingest, "load_trace", counting)
+    calls = counting(monkeypatch, ingest, "load_trace")
     env = tiny_env(epochs=12, mode="replay",
                    replay=ReplayConfig(sensors=[(1, "temperature")], path=str(trace)))
     spec = tiny_spec(tmp_path / "out", env=env, seeds=[1, 2], policies=["fixed(1)", "dqn"],
@@ -318,6 +327,89 @@ def test_replay_trace_read_once_per_experiment(tmp_path, monkeypatch, runner):
                      eta_grid=[0.0, 0.5])
     runner(spec)
     assert len(calls) == 1
+
+
+def replay_env(tmp_path, **overrides):
+    """A replay config over a 36-slot, one-mote trace: three 12-epoch windows."""
+    trace = tmp_path / "trace.txt"
+    trace.write_text("".join(
+        f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 9}.0 {40 + i % 5}.0 100.0 2.7\n"
+        for i in range(36)
+    ))
+    replay = ReplayConfig(sensors=[(1, "temperature"), (1, "humidity")], path=str(trace))
+    return tiny_env(epochs=12, mode="replay", replay=replay, **overrides)
+
+
+class TestSharedEpisodeInputs:
+    def test_sweep_builds_each_track_once(self, tmp_path, monkeypatch):
+        calls = counting(monkeypatch, env_mod, "synth_track")
+        spec = tiny_spec(tmp_path, env=tiny_env(sensors=list(KINDS)), seeds=[1],
+                         policies=["fixed(1)", "random(0.5)"], eta_grid=[0.0, 0.5, 1.0],
+                         eval_episodes=3)
+        for _ in range(2):  # nothing outlives the call: the second run builds them all again
+            calls.clear()
+            run_interference_sweep(spec)
+            assert len(calls) == 3 * len(KINDS)  # not 2 policies x 3 etas x 3 x 4
+
+    def test_replay_compare_detects_events_once_per_window(self, tmp_path, monkeypatch):
+        calls = counting(monkeypatch, env_mod, "detect_events")
+        spec = tiny_spec(tmp_path / "out", env=replay_env(tmp_path), seeds=[1, 2],
+                         policies=["fixed(1)", "random(0.5)", "threshold(0.1)"], eval_episodes=3)
+        run_compare(spec)
+        windows = {(s * EVAL_STRIDE + EVAL_BASE + e) % 3 for s in (1, 2) for e in range(3)}
+        assert len(windows) > 1
+        assert len(calls) == len(windows) * 2
+
+    def test_training_builds_every_episode_and_keeps_no_memo(self, monkeypatch):
+        calls = counting(monkeypatch, env_mod, "synth_track")
+        cfg = tiny_env(sensors=["temperature", "light"])
+        inputs = EpisodeInputs(cfg)
+        train_dqn(cfg, tiny_hypers(), 3, 1, inputs)
+        assert len(calls) == 3 * 2
+        assert inputs.memo == {}
+
+    @pytest.mark.parametrize("mode", ["synthetic", "replay"])
+    def test_every_cell_equals_its_evaluation_alone(self, tmp_path, mode):
+        cfg = tiny_env(sensors=["temperature", "light"]) if mode == "synthetic" else replay_env(tmp_path)
+        inputs = EpisodeInputs(cfg)
+        cells = [(text, eta, weights)
+                 for weights in [(0.6, 0.2, 0.2), (0.2, 0.5, 0.3)]
+                 for eta in [1.0, 0.0, 0.5]
+                 for text in ["random(0.5)", "fixed(2)", "threshold(0.1)"]]
+        for text, eta, weights in cells:
+            cell = replace(cfg, eta=eta, weights=RewardWeights(*weights))
+            for seed in (2, 1):
+                shared = evaluate_policy(cell, make_baseline(text, 12), seed, 3, text, inputs)
+                alone = evaluate_policy(cell, make_baseline(text, 12), seed, 3, text)
+                assert shared == alone, (text, eta, weights, seed)
+        assert inputs.memo
+
+    def test_eta_and_weights_reuse_the_memo(self, monkeypatch):
+        calls = counting(monkeypatch, env_mod, "synth_track")
+        cfg = tiny_env()
+        inputs = EpisodeInputs(cfg)
+        first = SensorEnv(cfg, inputs)
+        first.reset(7)
+        other = SensorEnv(replace(cfg, eta=0.5, weights=RewardWeights(0.2, 0.5, 0.3)), inputs)
+        other.reset(7)
+        assert len(calls) == 1 and other._truth is first._truth
+
+    @pytest.mark.parametrize("change", [
+        {"ranges": {"temperature": (0.0, 30.0)}},
+        {"epochs": 11},
+        {"signal": SignalParams(walk_sigma=0.05)},
+        {"sensors": ["light"]},
+        {"replay": ReplayConfig(sensors=[(1, "temperature")])},
+    ])
+    def test_another_config_never_reuses_an_entry(self, change):
+        cfg = tiny_env()
+        inputs = EpisodeInputs(cfg)
+        evaluate_policy(cfg, FixedPolicy(1), 1, 2, "fixed(1)", inputs)
+        memo = dict(inputs.memo)
+        with pytest.raises(ConfigError, match="another config"):
+            evaluate_policy(replace(cfg, **change), FixedPolicy(1), 1, 2, "fixed(1)", inputs)
+        assert inputs.memo.keys() == memo.keys()
+        assert all(inputs.memo[k] is v for k, v in memo.items())
 
 
 class TestWeightSweep:

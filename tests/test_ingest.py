@@ -473,15 +473,16 @@ class TestReplayIntegration:
             f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + np.sin(i / 3):.4f} 40.0 100.0 2.7"
             for i in range(20)
         ]
-        series, _ = load_trace(write_trace(tmp_path, lines))
+        path = write_trace(tmp_path, lines)
+        series, _ = load_trace(path)
         trace = {m: hold_fill(s) for m, s in series.items()}
         cfg = EnvConfig(
             epochs=10,
             mode="replay",
             eta=0.0,
-            replay=ReplayConfig(sensors=[(1, "temperature")]),
+            replay=ReplayConfig(sensors=[(1, "temperature")], path=str(path)),
         )
-        env = SensorEnv(cfg, trace=trace)
+        env = SensorEnv(cfg)
         env.reset(0)
         done = False
         while not done:
@@ -498,14 +499,13 @@ class TestReplayIntegration:
             f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i}.0 40.0 100.0 2.7"
             for i in (0, 5, 6, 7, 9)
         ]
-        series, _ = load_trace(write_trace(tmp_path, lines))
-        trace = {m: hold_fill(s) for m, s in series.items()}
+        path = write_trace(tmp_path, lines)
         cfg = EnvConfig(
             epochs=5,
             mode="replay",
-            replay=ReplayConfig(sensors=[(1, "temperature")], min_presence=0.5),
+            replay=ReplayConfig(sensors=[(1, "temperature")], path=str(path), min_presence=0.5),
         )
-        env = SensorEnv(cfg, trace=trace)
+        env = SensorEnv(cfg)
         for seed in (0, 1):
             env.reset(seed)
             np.testing.assert_array_equal(env._truth[0], [25.0, 26.0, 27.0, 27.0, 29.0])
@@ -518,17 +518,19 @@ class TestReplayIntegration:
             f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 7}.0 40.0 100.0 2.7"
             for i in range(23)
         ]
-        series, _ = load_trace(write_trace(tmp_path, lines))
+        path = write_trace(tmp_path, lines)
+        series, _ = load_trace(path)
         trace = {m: hold_fill(s) for m, s in series.items()}
         cfg = EnvConfig(
             epochs=8,
             mode="replay",
-            replay=ReplayConfig(sensors=[(1, "temperature")], start_slot=1, end_slot=end_slot),
+            replay=ReplayConfig(sensors=[(1, "temperature")], path=str(path), start_slot=1,
+                                end_slot=end_slot),
         )
-        env = SensorEnv(cfg, trace=trace)
+        env = SensorEnv(cfg)
         env.reset(0)
-        assert env._windows
-        for seed, start in enumerate(env._windows):
+        assert env._inputs.windows
+        for seed, start in enumerate(env._inputs.windows):
             assert start + cfg.epochs <= 23
             env.reset(seed)
             np.testing.assert_array_equal(
@@ -551,13 +553,14 @@ class TestReplayIntegration:
             f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 7}.0 40.0 100.0 2.7"
             for i in range(30)
         ]
-        series, _ = load_trace(write_trace(tmp_path, lines))
+        path = write_trace(tmp_path, lines)
+        series, _ = load_trace(path)
         trace = {m: hold_fill(s) for m, s in series.items()}
         cfg = EnvConfig(
             epochs=10,
             mode="replay",
-            replay=ReplayConfig(sensors=[(1, "temperature")], start_slot=10, end_slot=30),
+            replay=ReplayConfig(sensors=[(1, "temperature")], path=str(path), start_slot=10, end_slot=30),
         )
-        env = SensorEnv(cfg, trace=trace)
+        env = SensorEnv(cfg)
         env.reset(0)
         np.testing.assert_array_equal(env._truth[0], trace[1].values["temperature"][10:20])
