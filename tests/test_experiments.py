@@ -329,7 +329,7 @@ def test_replay_trace_read_once_per_experiment(tmp_path, monkeypatch, runner):
     assert len(calls) == 1
 
 
-def replay_env(tmp_path, **overrides):
+def replay_env(tmp_path):
     """A replay config over a 36-slot, one-mote trace: three 12-epoch windows."""
     trace = tmp_path / "trace.txt"
     trace.write_text("".join(
@@ -337,7 +337,7 @@ def replay_env(tmp_path, **overrides):
         for i in range(36)
     ))
     replay = ReplayConfig(sensors=[(1, "temperature"), (1, "humidity")], path=str(trace))
-    return tiny_env(epochs=12, mode="replay", replay=replay, **overrides)
+    return tiny_env(epochs=12, mode="replay", replay=replay)
 
 
 class TestSharedEpisodeInputs:
