@@ -154,10 +154,10 @@ class AgentHyperParams:
 
 
 def hypers_from_dict(raw: dict) -> AgentHyperParams:
-    """Build and validate hyperparameters from the `agent` config section;
-    malformed values raise TypeError or ValueError."""
+    """Build and validate hyperparameters from the `agent` config section,
+    whose one list, `hidden`, becomes a tuple."""
     raw = dataclass_kwargs(raw, AgentHyperParams, "agent")
-    hp = AgentHyperParams(**{k: tuple(v) if k == "hidden" else v for k, v in raw.items()})
+    hp = AgentHyperParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
     hp.validate()
     return hp
 

@@ -1,8 +1,9 @@
 """Non-learning sampling policies and the greedy Q-network policy.
 
 All policies share one protocol: `reset(rng)` at episode start, then
-`act(obs, epoch, mask, num_actions)` returning one Python int action per
-sensor (None where the bool array mask forbids deciding). The
+`act(obs, epoch)` returning one Python int action per sensor, every
+sensor included; experiments.run_episode passes None instead where the
+environment's decision mask says a sensor may not decide. The
 non-learning baselines only make sense in binary action mode.
 """
 
@@ -27,9 +28,8 @@ class FixedPolicy:
     def reset(self, rng) -> None:
         pass
 
-    def act(self, obs, epoch, mask, num_actions):
-        want = SAMPLE if epoch % self.period == 0 else SKIP
-        return [want if m else None for m in mask.tolist()]
+    def act(self, obs, epoch):
+        return [SAMPLE if epoch % self.period == 0 else SKIP] * len(obs)
 
 
 class RandomPolicy:
@@ -43,9 +43,8 @@ class RandomPolicy:
     def reset(self, rng) -> None:
         self._rng = rng
 
-    def act(self, obs, epoch, mask, num_actions):
-        draws = self._rng.random(len(mask)).tolist()
-        return [(SAMPLE if d < self.q else SKIP) if m else None for m, d in zip(mask.tolist(), draws)]
+    def act(self, obs, epoch):
+        return [SAMPLE if d < self.q else SKIP for d in self._rng.random(len(obs)).tolist()]
 
 
 class ThresholdPolicy:
@@ -65,10 +64,10 @@ class ThresholdPolicy:
     def reset(self, rng) -> None:
         pass
 
-    def act(self, obs, epoch, mask, num_actions):
+    def act(self, obs, epoch):
         gaps = [time * self.horizon for time in obs[:, OBS_TIME].tolist()]
-        return [(SAMPLE if abs(slope) * gap > self.threshold or gap >= PROBE_CAP else SKIP)
-                if m else None for m, gap, slope in zip(mask.tolist(), gaps, obs[:, OBS_SLOPE].tolist())]
+        return [SAMPLE if abs(slope) * gap > self.threshold or gap >= PROBE_CAP else SKIP
+                for gap, slope in zip(gaps, obs[:, OBS_SLOPE].tolist())]
 
 
 class GreedyQPolicy:
@@ -80,7 +79,6 @@ class GreedyQPolicy:
     def reset(self, rng) -> None:
         pass
 
-    def act(self, obs, epoch, mask, num_actions):
-        best = nn.forward_batch(self.params, obs).argmax(axis=1).tolist()
-        return [a if m else None for a, m in zip(best, mask.tolist())]
+    def act(self, obs, epoch):
+        return nn.forward_batch(self.params, obs).argmax(axis=1).tolist()
 

@@ -114,6 +114,8 @@ class ReplayConfig:
     end_slot: int | None = None
 
     def validate(self) -> None:
+        require(isinstance(self.sensors, (list, tuple)) and all(map(_is_pair, self.sensors)),
+                "replay sensors must be a list of [mote, channel] pairs")
         require(all(is_int(m, 1) for m, _ in self.sensors), "replay motes must be integers >= 1")
         require(self.path is None or isinstance(self.path, str), "replay path must be a string")
         dt = self.delta_t
@@ -156,9 +158,9 @@ class EnvConfig:
             require(isinstance(k, str) and k in KIND_INDEX, f"unknown channel kind {k!r}")
         ranges = self.ranges  # read in synthetic mode only, but checked in both
         require(isinstance(ranges, dict)
-                and all(_is_pair(r) and all(map(is_real, r)) for r in ranges.values())
+                and all(_is_pair(r) and all(map(is_real, r)) and r[0] <= r[1] for r in ranges.values())
                 and (self.mode == "replay" or all(k in ranges for k in kinds)),
-                "ranges need a [low, high] pair of numbers for every sensor kind")
+                "ranges need a [low, high] pair of numbers, low <= high, for every sensor kind")
         require(is_int(self.epochs, 2), "epochs must be an integer >= 2")
         costs = self.sample_costs
         require(is_real(self.idle_cost, 0.0) and isinstance(costs, dict)
@@ -179,6 +181,10 @@ class EnvConfig:
         if self.mode == "replay":
             return [k for _, k in self.replay.sensors]
         return list(self.sensors)
+
+    @property
+    def num_actions(self) -> int:
+        return 2 if self.action_mode == "binary" else len(INTERVAL_SLEEPS)
 
     @property
     def max_action_cost(self) -> float:
@@ -205,7 +211,10 @@ def config_from_dict(raw: dict) -> EnvConfig:
         kw["ranges"] = {k: (as_float(lo), as_float(hi)) for k, (lo, hi) in ranges.items()}
     if kw.get("replay") is not None:  # null, like no replay key, means none
         r = dataclass_kwargs(kw["replay"], ReplayConfig, "env.replay")
-        kw["replay"] = ReplayConfig(**dict(r, sensors=[(m, k) for m, k in r.get("sensors", [])]))
+        sensors = r.get("sensors", [])
+        if isinstance(sensors, list) and all(map(_is_pair, sensors)):  # else validate names it
+            sensors = [tuple(s) for s in sensors]
+        kw["replay"] = ReplayConfig(**dict(r, sensors=sensors))
     cfg = EnvConfig(**kw)
     cfg.validate()
     return cfg
@@ -222,12 +231,14 @@ class EpisodeInputs:
     on neither eta, the reward weights nor the policy.
 
     That is the observation clock, each sensor's normalization (low, span),
-    in replay mode the hold-filled series of the trace (read once) and their
-    usable episode windows, and a memo from episode to its (truth, events).
-    The first env to reset to an episode (a seed, or in replay mode the
-    seed's window) fills the memo and every later one reads it, so the truth
-    matrices are read-only. Experiments build one per call and drop it on
-    return; a SensorEnv built without one gets its own, with no memo.
+    a memo from episode to its (truth, events), and in replay mode `series`,
+    the hold-filled configured (mote, channel) series of the trace (read
+    once) as one read-only (num_sensors, n_slots) matrix, and the start slots
+    of its usable episode windows; a replay episode's truth is a view of its
+    window. The first env to reset to an episode (a seed, or a replay window)
+    fills the memo and every later one reads it, so the truth matrices are
+    read-only. Experiments build one per call and drop it on return; a
+    SensorEnv built without one gets its own, with no memo.
     """
 
     def __init__(self, config: EnvConfig):
@@ -241,14 +252,24 @@ class EpisodeInputs:
             self.series, self.windows = None, []
             ranges = [config.ranges[kind] for kind in config.sensor_kinds]
         else:
-            require(config.replay.path, "replay mode needs a trace path")
+            rc, T = config.replay, config.epochs
+            require(rc.path, "replay mode needs a trace path")
             from . import ingest
 
-            series, _ = ingest.load_trace(config.replay.path, delta_t=config.replay.delta_t)
-            self.series = {m: ingest.hold_fill(s) for m, s in series.items()}
-            self.windows = self._usable_windows()
+            trace, _ = ingest.load_trace(rc.path, delta_t=rc.delta_t)
+            for mote, _ in rc.sensors:
+                require(mote in trace, f"mote {mote} missing from trace")
+            filled = {m: ingest.hold_fill(trace[m]) for m in {m for m, _ in rc.sensors}}
+            self.series = np.array([filled[m].values[kind] for m, kind in rc.sensors])
+            self.series.flags.writeable = False
+            present = np.array([trace[m].present for m, _ in rc.sensors])
+            first, last = rc.start_slot, min(present.shape[1], rc.end_slot or present.shape[1])
+            n = (last - first) // T  # windows laid end to end from start_slot, inside the trace
+            require(n > 0, f"trace range for mote {rc.sensors[0][0]} shorter than one episode")
+            shares = present[:, first : first + n * T].reshape(len(present), n, T).mean(axis=2)
+            self.windows = (first + T * np.flatnonzero((shares >= rc.min_presence).all(axis=0))).tolist()
             require(self.windows, "trace has no usable episode windows")
-            ranges = [self.series[mote].stats[kind] for mote, kind in config.replay.sensors]
+            ranges = [trace[mote].stats[kind] for mote, kind in rc.sensors]
         self.los = [lo for lo, _ in ranges]
         self.spans = [hi - lo if hi > lo else 1.0 for lo, hi in ranges]
 
@@ -269,36 +290,14 @@ class EpisodeInputs:
         if cfg.mode == "synthetic":
             tracks = [synth_track(kind, cfg.epochs, seed * 1_000_003 + i, cfg.signal, cfg.ranges[kind])
                       for i, kind in enumerate(cfg.sensor_kinds)]
-            truth, events = [t.values for t in tracks], [t.events for t in tracks]
-        else:
-            truth = [self.series[mote].values[kind][key : key + cfg.epochs]
-                     for mote, kind in cfg.replay.sensors]
+            truth, events = np.array([t.values for t in tracks]), [t.events for t in tracks]
+            truth.flags.writeable = False
+        else:  # a view of the read-only series: read-only too
+            truth = self.series[:, key : key + cfg.epochs]
             events = [detect_events(v) for v in truth]
-        truth = np.array(truth, dtype=np.float64)
-        truth.flags.writeable = False
         if memo is not None:
             memo[key] = truth, events
         return truth, events
-
-    def _usable_windows(self) -> list[int]:
-        cfg = self.config
-        T = cfg.epochs
-        first = cfg.replay.start_slot
-        windows = None
-        for mote, _ in cfg.replay.sensors:
-            require(mote in self.series, f"mote {mote} missing from trace")
-            ms = self.series[mote]
-            last = len(ms.present)
-            if cfg.replay.end_slot is not None:
-                last = min(last, cfg.replay.end_slot)  # windows lie wholly inside the trace
-            require(last - first >= T, f"trace range for mote {mote} shorter than one episode")
-            mine = {
-                s
-                for s in range(first, last - T + 1, T)
-                if ms.present[s : s + T].mean() >= cfg.replay.min_presence
-            }
-            windows = mine if windows is None else windows & mine
-        return sorted(windows or [])
 
 
 class SensorEnv:
@@ -323,7 +322,7 @@ class SensorEnv:
         self.kinds = config.sensor_kinds
         self.num_sensors = len(self.kinds)
         self._binary = config.action_mode == "binary"
-        self.num_actions = 2 if self._binary else len(INTERVAL_SLEEPS)
+        self.num_actions = config.num_actions
         self._sample_costs = [config.sample_costs[k] for k in self.kinds]
         self._c_max = c_max = config.max_action_cost
         info_w, energy_w, redundancy_w = self._weights = config.weights.as_tuple()

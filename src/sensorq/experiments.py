@@ -88,10 +88,14 @@ class ExperimentSpec:
                 # only compare and the interference sweep evaluate baselines
                 require(self.env.action_mode == "binary" or kind in ("train", "weight-sweep"),
                         f"policy {text} needs action_mode binary; interval mode runs only dqn")
+        require(isinstance(self.weight_triples, (list, tuple))
+                and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in self.weight_triples),
+                "weight_triples must be a list of [info, energy, redundancy] triples")
         for triple in self.weight_triples:
-            require(len(triple) == 3, f"weight triple {list(triple)} needs three weights")
             RewardWeights(*triple).validate()
-        require(all(is_real(e, 0.0, 1.0) for e in self.eta_grid), "eta values must lie in [0, 1]")
+        require(isinstance(self.eta_grid, (list, tuple))
+                and all(is_real(e, 0.0, 1.0) for e in self.eta_grid),
+                "eta_grid must be a list of numbers in [0, 1]")
         require(kind != "weight-sweep" or len(self.weight_triples) >= 2,
                 "weight sweep needs at least two weight triples")
         require(kind != "interference-sweep" or len(self.eta_grid) >= 2,
@@ -122,10 +126,11 @@ def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
                     "manifest checkpoint must be a path or null")
         require_keys(raw, ("env", "agent", "experiment"), "top-level")
         exp = dict(require_keys(raw.get("experiment", {}), EXPERIMENT_KEYS, "experiment"))
-        if "weight_triples" in exp:
-            exp["weight_triples"] = [tuple(map(as_float, t)) for t in exp["weight_triples"]]
-        if "eta_grid" in exp:
-            exp["eta_grid"] = [as_float(e) for e in exp["eta_grid"]]
+        triples, etas = exp.get("weight_triples"), exp.get("eta_grid")  # else validate names them
+        if isinstance(triples, list) and all(isinstance(t, list) for t in triples):
+            exp["weight_triples"] = [tuple(map(as_float, t)) for t in triples]
+        if isinstance(etas, list):
+            exp["eta_grid"] = [as_float(e) for e in etas]
         if seeds is not None:
             exp["seeds"] = list(seeds)
         return ExperimentSpec(config_from_dict(raw.get("env", {})),
@@ -144,7 +149,8 @@ def run_episode(env: SensorEnv, policy, episode_seed: int) -> metrics.EpisodeLog
     policy.reset(np.random.default_rng(episode_seed * POLICY_RNG_MULT + 13))
     done = False
     while not done:
-        actions = policy.act(obs, env.epoch, env.decision_mask, env.num_actions)
+        mask = env.decision_mask.tolist()  # None where a sensor may not decide
+        actions = [a if m else None for a, m in zip(policy.act(obs, env.epoch), mask)]
         _, obs, done, _ = env.step(actions)
     return env.episode_log()
 
@@ -177,12 +183,12 @@ def train_dqn(
     return train(SensorEnv(cfg, inputs and inputs.without_memo()), hypers, episodes, seed)
 
 
-_POLICY_RE = re.compile(r"^(fixed|random|threshold)\((-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)\)$")
+_POLICY_RE = re.compile(r"(fixed|random|threshold)\((-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)\)", re.ASCII)
 
 
 def make_baseline(text: str, horizon: int):
     """Parse a policy spec string like fixed(4) / random(0.25) / threshold(0.15)."""
-    m = isinstance(text, str) and _POLICY_RE.match(text.strip())
+    m = isinstance(text, str) and _POLICY_RE.fullmatch(text)
     require(m, f"cannot parse policy {text!r}")
     kind, arg = m.group(1), float(m.group(2))
     if kind == "fixed":
@@ -224,7 +230,7 @@ def _dqn_params_per_seed(
             params = nn.load_network(spec.checkpoint)
         except ValueError as exc:
             raise ConfigError(f"checkpoint {spec.checkpoint}: {exc}") from exc
-        shape = (SensorEnv.obs_dim, SensorEnv(cfg, inputs).num_actions)
+        shape = (SensorEnv.obs_dim, cfg.num_actions)
         if (params.in_dim, params.out_dim) != shape:
             raise ConfigError(
                 f"checkpoint {spec.checkpoint}: network maps {params.in_dim} -> "
@@ -278,7 +284,7 @@ def run_compare(spec: ExperimentSpec, check: bool = False) -> list[metrics.Metri
 
 
 def check_compare(
-    spec: ExperimentSpec, reports: list[metrics.MetricsReport], inputs: EpisodeInputs | None = None
+    spec: ExperimentSpec, reports: list[metrics.MetricsReport], inputs: EpisodeInputs
 ) -> None:
     """Directional assertions mirroring the published comparison table;
     `inputs` as for evaluate_policy."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FORMAT_TAG = "sensorq-net 1"
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # adam_step's moment decays and denominator guard
 
 
 def _views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -94,9 +95,6 @@ class OptimizerState:
     v: np.ndarray
     step: int
     step_size: float
-    beta1: float
-    beta2: float
-    eps: float
     _scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -113,12 +111,10 @@ def _check_chain(layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
             raise ValueError(f"layer {i}: non-finite entries")
 
 
-def init_network(sizes: list[int], rng: np.random.Generator | int) -> NetworkParams:
+def init_network(sizes: list[int], rng: np.random.Generator) -> NetworkParams:
     """Seeded uniform init in +-sqrt(6 / (fan_in + fan_out)) per layer."""
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -178,17 +174,10 @@ def backward_batch(params: NetworkParams, cache, grad_out: np.ndarray) -> Networ
     return grads
 
 
-def adam_init(
-    params: NetworkParams,
-    step_size: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
-    if step_size <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1) or eps <= 0:
-        raise ValueError("invalid optimizer hyperparameters")
-    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-    return OptimizerState(m, v, 0, step_size, beta1, beta2, eps)
+def adam_init(params: NetworkParams, step_size: float = 1e-3) -> OptimizerState:
+    if step_size <= 0:
+        raise ValueError("invalid optimizer step size")
+    return OptimizerState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0, step_size)
 
 
 def adam_step(
@@ -199,8 +188,8 @@ def adam_step(
     Rewrites params.flat, state.m and state.v and returns (params, state)
     themselves. Each element goes through m = b1*m + (1-b1)*g,
     v = b2*v + (1-b2)*g**2, p = p - lr*(m/c1)/(sqrt(v/c2)+eps) in that
-    order. Rejects mismatched or non-finite gradients before writing
-    anything.
+    order, with (b1, b2, eps) = (BETA1, BETA2, EPS). Rejects mismatched or
+    non-finite gradients before writing anything.
     """
     if grads._shapes != params._shapes:
         raise ValueError("gradient shapes do not match parameters")
@@ -208,23 +197,22 @@ def adam_step(
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient entries")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**state.step
-    c2 = 1.0 - b2**state.step
+    c1 = 1.0 - BETA1**state.step
+    c2 = 1.0 - BETA2**state.step
     m, v, p = state.m, state.v, params.flat
     s, r = state._scratch
-    np.multiply(m, b1, out=m)
-    np.multiply(g, 1 - b1, out=s)
+    np.multiply(m, BETA1, out=m)
+    np.multiply(g, 1 - BETA1, out=s)
     np.add(m, s, out=m)
     np.square(g, out=s)
-    np.multiply(s, 1 - b2, out=s)
-    np.multiply(v, b2, out=v)
+    np.multiply(s, 1 - BETA2, out=s)
+    np.multiply(v, BETA2, out=v)
     np.add(v, s, out=v)
     np.divide(m, c1, out=s)
     np.multiply(s, state.step_size, out=s)
     np.divide(v, c2, out=r)
     np.sqrt(r, out=r)
-    np.add(r, state.eps, out=r)
+    np.add(r, EPS, out=r)
     np.divide(s, r, out=s)
     np.subtract(p, s, out=p)
     return params, state

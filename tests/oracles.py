@@ -278,3 +278,25 @@ def rolling_std(values, window):
     """np.std of each `window` deltas before delta t, for t = window .. n-2."""
     diffs = np.diff(np.asarray(values, dtype=np.float64))
     return [float(np.std(diffs[t - window : t])) for t in range(window, len(diffs))]
+
+
+def usable_windows(presence, sensors, epochs, start_slot, end_slot, min_presence):
+    """Start slots of the replay episode windows, one sensor at a time.
+
+    presence[mote] is the mote's per-slot presence flags; sensors the
+    configured (mote, channel) pairs. Windows of `epochs` slots lie end to
+    end from start_slot and wholly before end_slot (None: the trace end,
+    and a later end_slot is capped at it); a window counts when, for every
+    sensor, at least min_presence of its slots hold a reading.
+    """
+    windows = None
+    for mote, _ in sensors:
+        present = presence[mote]
+        last = len(present) if end_slot is None else min(len(present), end_slot)
+        mine = {
+            s
+            for s in range(start_slot, last - epochs + 1, epochs)
+            if present[s : s + epochs].mean() >= min_presence
+        }
+        windows = mine if windows is None else windows & mine
+    return sorted(windows or [])

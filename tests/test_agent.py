@@ -164,7 +164,7 @@ class TestTdLoss:
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
 
     def test_empty_batch_rejected(self):
-        online = nn.init_network([2, 3, 2], 0)
+        online = nn.init_network([2, 3, 2], np.random.default_rng(0))
         empty = Batch(np.zeros((0, 2)), np.zeros(0, int), np.zeros(0), np.zeros((0, 2)), np.zeros(0, bool))
         with pytest.raises(ValueError):
             td_loss(empty, online, online.copy(), 0.9)

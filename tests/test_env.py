@@ -1,12 +1,13 @@
 import csv
 import dataclasses
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sensorq import metrics
+from sensorq import ingest, metrics
 from sensorq.env import (
     INTERVAL_SLEEPS,
     OBS_BATTERY,
@@ -19,12 +20,15 @@ from sensorq.env import (
     SAMPLE,
     EnvConfig,
     EpisodeInputs,
+    ReplayConfig,
     RewardWeights,
     SensorEnv,
     config_from_dict,
 )
 from sensorq.errors import ConfigError
 from sensorq.signals import KINDS, SignalParams, synth_track
+
+from oracles import usable_windows
 
 
 def small_config(**overrides):
@@ -434,3 +438,83 @@ def test_invariants_under_random_legal_actions(mode, eta, battery, kinds, epochs
             if a is not None and mode == "interval":
                 awake_at[i] = e + INTERVAL_SLEEPS[a]
     np.testing.assert_allclose(battery - np.asarray(env._battery), env._ledger.sum(axis=1), rtol=0, atol=1e-9)
+
+
+def write_gapped_trace(path, rng, n_slots, gaps):
+    """A one-minute-slot trace where mote m misses each slot with
+    probability gaps[m]; mote 1 holds the first and last slot, so the grid
+    spans n_slots, and every mote holds at least one. Returns the
+    {mote: presence} grid it wrote."""
+    presence = {m: rng.random(n_slots) >= gap for m, gap in gaps.items()}
+    presence[1][[0, -1]] = True
+    for present in presence.values():
+        present[rng.integers(n_slots)] = True
+    start, lines = datetime(2004, 3, 1), []
+    for m, present in presence.items():
+        for slot in np.flatnonzero(present).tolist():
+            stamp = (start + timedelta(minutes=slot)).strftime("%Y-%m-%d %H:%M:%S.0")
+            temp, hum, light = 20 + 5 * rng.random(), 40 + 9 * rng.random(), 900 * rng.random()
+            lines.append(f"{stamp} {slot} {m} {temp:.4f} {hum:.4f} {light:.4f} 2.7\n")
+    path.write_text("".join(lines))
+    return presence
+
+
+class TestReplayWindows:
+    """EpisodeInputs' window starts against the one-sensor-at-a-time oracle."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_windows_match_the_oracle(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n_slots = int(rng.integers(20, 90))
+        presence = write_gapped_trace(tmp_path / "trace.txt", rng, n_slots, {1: 0.1, 2: 0.5, 3: 0.3})
+        sensors = [(1, "temperature"), (2, "humidity"), (3, "light"), (1, "voltage")]  # mote 1 twice
+        sensors = [sensors[i] for i in rng.permutation(4)[: int(rng.integers(2, 5))]]
+        epochs = int(rng.integers(2, 9))
+        start_slot = int(rng.integers(0, 12)) if seed % 2 else 0
+        end_slot = None if seed % 3 == 0 else start_slot + int(rng.integers(1, n_slots + 8))
+        min_presence = [0.0, 1.0, 0.5, float(rng.random())][seed % 4]
+        cfg = EnvConfig(epochs=epochs, mode="replay", replay=ReplayConfig(
+            sensors=sensors, path=str(tmp_path / "trace.txt"), min_presence=min_presence,
+            start_slot=start_slot, end_slot=end_slot))
+        expected = usable_windows(presence, sensors, epochs, start_slot, end_slot, min_presence)
+        last = n_slots if end_slot is None else min(n_slots, end_slot)
+        if last - start_slot < epochs:
+            with pytest.raises(ConfigError, match="shorter than one episode"):
+                EpisodeInputs(cfg)
+        elif not expected:
+            with pytest.raises(ConfigError, match="no usable episode windows"):
+                EpisodeInputs(cfg)
+        else:
+            assert EpisodeInputs(cfg).windows == expected
+
+    @pytest.mark.parametrize("min_presence, expected", [(0.0, [0, 5, 10]), (0.3, [0, 5]), (0.5, [5])])
+    def test_every_sensor_must_be_present(self, tmp_path, min_presence, expected):
+        """Mote 1 misses slots 0-2, mote 2 slots 11-14; the 16th slot fits no
+        window of 5."""
+        lines = [f"2004-03-01 00:{s:02d}:00.0 {s} {m} 20.0 40.0 100.0 2.7\n"
+                 for m, gaps in [(1, range(3)), (2, range(11, 15))] for s in range(16) if s not in gaps]
+        (tmp_path / "trace.txt").write_text("".join(lines))
+        cfg = EnvConfig(epochs=5, mode="replay", replay=ReplayConfig(
+            sensors=[(1, "temperature"), (2, "temperature")], path=str(tmp_path / "trace.txt"),
+            min_presence=min_presence))
+        assert EpisodeInputs(cfg).windows == expected
+
+    def test_truth_is_a_read_only_view_of_the_configured_series(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.txt"
+        write_gapped_trace(path, np.random.default_rng(7), 60, {1: 0.2, 2: 0.3, 3: 0.1, 4: 0.4})
+        sensors = [(2, "humidity"), (1, "temperature"), (2, "light")]  # motes 3 and 4 unread
+        filled, fill = [], ingest.hold_fill
+        monkeypatch.setattr(ingest, "hold_fill", lambda s: filled.append(s.mote) or fill(s))
+        inputs = EpisodeInputs(EnvConfig(epochs=6, mode="replay", replay=ReplayConfig(
+            sensors=sensors, path=str(path), min_presence=0.0)))
+        assert sorted(filled) == [1, 2]  # once per configured mote
+        trace, _ = ingest.load_trace(path)
+        assert inputs.series.shape == (len(sensors), 60) and not inputs.series.flags.writeable
+        for row, (mote, kind) in zip(inputs.series, sensors):
+            np.testing.assert_array_equal(row, ingest.hold_fill(trace[mote]).values[kind])
+        assert inputs.windows == list(range(0, 60, 6))
+        for seed, start in enumerate(inputs.windows):
+            truth, _ = inputs.episode(seed)
+            assert np.shares_memory(truth, inputs.series) and not truth.flags.writeable
+            np.testing.assert_array_equal(truth, inputs.series[:, start : start + 6])
+            assert inputs.episode(seed + len(inputs.windows))[0] is truth  # the memo

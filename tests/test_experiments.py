@@ -190,25 +190,27 @@ class TestRollout:
         assert abs(row.energy_mj - 10 * cfg.sample_costs["temperature"]) < 1e-12
 
     def test_greedy_q_ties_pick_action_0_as_python_ints(self):
-        params = nn.init_network([OBS_DIM, 4, 2], 0)
+        params = nn.init_network([OBS_DIM, 4, 2], np.random.default_rng(0))
         params.flat[:] = 0.0  # every Q-value is 0
         env = SensorEnv(tiny_env(sensors=["temperature", "light", "voltage"]))
         obs = env.reset(0)
-        actions = GreedyQPolicy(params).act(obs, env.epoch, env.decision_mask, env.num_actions)
+        actions = GreedyQPolicy(params).act(obs, env.epoch)
         assert actions == [0, 0, 0] and all(type(a) is int for a in actions)
 
     def test_every_policy_returns_python_ints(self):
         env = SensorEnv(tiny_env(sensors=["temperature", "light"], epochs=30))
         policies = [FixedPolicy(3), RandomPolicy(0.5), ThresholdPolicy(0.05, 30),
-                    GreedyQPolicy(nn.init_network([OBS_DIM, 4, 2], 1))]
+                    GreedyQPolicy(nn.init_network([OBS_DIM, 4, 2], np.random.default_rng(1)))]
         for policy in policies:
             obs = env.reset(5)
             policy.reset(np.random.default_rng(5))
             done = False
             while not done:
-                actions = policy.act(obs, env.epoch, env.decision_mask, env.num_actions)
+                actions = policy.act(obs, env.epoch)
+                assert len(actions) == env.num_sensors
                 assert all(type(a) is int for a in actions), (policy, actions)
-                _, obs, done, _ = env.step(actions)
+                mask = env.decision_mask.tolist()  # as run_episode masks them
+                _, obs, done, _ = env.step([a if m else None for a, m in zip(actions, mask)])
 
     def test_make_baseline_parsing(self):
         assert make_baseline("fixed(4)", 100).period == 4
@@ -609,6 +611,15 @@ class TestCli:
             {"agent": {"replay_capacity": 10}},
             {"agent": {"replay_capacity": 0}},
             {"agent": {"hard_copy_every": 5}},
+            # each of these ended in a traceback or named no field
+            {"env": {"ranges": {"temperature": [40, 10]}}},
+            *({"env": {"mode": "replay", "replay": {"path": "trace.txt", "sensors": bad}}}
+              for bad in ([[1]], [1], "x", {"1": "light"}, None)),
+            {"agent": {"hidden": 5}},
+            {"agent": {"hidden": None}},
+            {"experiment": {"weight_triples": [1]}},
+            {"experiment": {"weight_triples": 3}},
+            {"experiment": {"eta_grid": 5}},
         ],
         ids=["unknown-agent-key", "signal-period-1", "batch-size-0", "train-episodes-str",
              "weight-str", "epochs-str", "noise-beta-negative", "four-weights",
@@ -620,9 +631,11 @@ class TestCli:
              "ranges-missing-kind", "ranges-list", "ranges-triple",
              "ranges-list-replay", "unknown-weights-key", "unknown-section",
              "policy-bad-number", "fixed-period-fraction", "replay-capacity-below-batch",
-             "replay-capacity-0", "hard-copy-every-removed"],
+             "replay-capacity-0", "hard-copy-every-removed",
+             "ranges-inverted", "sensors-short-pair", "sensors-flat", "sensors-str", "sensors-object",
+             "sensors-null", "hidden-int", "hidden-null", "triples-flat", "triples-int", "eta-grid-int"],
     )
-    def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, raw):
+    def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, request, raw):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -631,6 +644,10 @@ class TestCli:
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         if "ranges" in raw.get("env", {}):
             assert "ranges" in err
+        prefix = request.node.callspec.id.split("-")[0]
+        field = {"sensors": "sensors", "hidden": "hidden", "triples": "weight_triples",
+                 "four": "weight_triples", "eta": "eta_grid"}.get(prefix)
+        assert field is None or field in err, (field, err)
 
     def test_negative_seed_argument_is_one_line_exit_1(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
@@ -792,16 +809,19 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["compare", "sweep-interference"])
     def test_bad_policy_fails_before_training(self, tmp_path, capsys, command):
-        path = tmp_path / "config.json"
-        raw = dict(CONFIG_JSON)
-        raw["experiment"] = dict(raw["experiment"], policies=["dqn", "bogus(1)"])
-        path.write_text(json.dumps(raw))
-        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
-        code = cli.main(argv + (["--train"] if command == "compare" else []))
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err == "configuration error: cannot parse policy 'bogus(1)'\n"
-        assert not list(tmp_path.rglob("dqn_seed*.txt")) and not list(tmp_path.rglob("curve_*"))
+        # padded strings once passed validation, ran, and failed only at --plotdata;
+        # a non-ASCII digit ran as a second spelling of the same policy
+        for bad in ["bogus(1)", " fixed(1)", "random(0.5) ", "fixed(1)\n", "fixed(\u0661)"]:
+            path = tmp_path / "config.json"
+            raw = dict(CONFIG_JSON)
+            raw["experiment"] = dict(raw["experiment"], policies=["dqn", bad])
+            path.write_text(json.dumps(raw))
+            argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--plotdata"]
+            code = cli.main(argv + (["--train"] if command == "compare" else []))
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err == f"configuration error: cannot parse policy {bad!r}\n"
+            assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("dqn_seed*.txt"))
 
     @pytest.mark.filterwarnings("error")  # overflow warnings would print more lines
     def test_divergence_is_one_line_exit_1(self, tmp_path, capsys):
@@ -821,9 +841,9 @@ class TestCli:
     def test_bad_checkpoint_is_one_line_exit_1(self, tmp_path, capsys, damage):
         ckpt = tmp_path / "net.txt"
         if damage == "wrong-shape":
-            nn.save_network(nn.init_network([3, 2], 1), ckpt)
+            nn.save_network(nn.init_network([3, 2], np.random.default_rng(1)), ckpt)
         else:
-            nn.save_network(nn.init_network([10, 8, 2], 1), ckpt)
+            nn.save_network(nn.init_network([10, 8, 2], np.random.default_rng(1)), ckpt)
             lines = ckpt.read_text().splitlines()
             if damage == "truncated":
                 lines = lines[:5]
