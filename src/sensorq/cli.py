@@ -47,15 +47,15 @@ def _plotdata(args, spec, stem: str) -> None:
 
 
 def cmd_ingest(args) -> int:
-    series, report = ingest.load_trace(args.trace, delta_t=args.delta_t)
+    trace, report = ingest.load_trace(args.trace, delta_t=args.delta_t)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ingest.write_report_csv(report, out / "ingest_report.csv")
     if args.dump:
-        ingest.write_aligned_csv(series, out / "aligned.csv")
+        ingest.write_aligned_csv(trace, out / "aligned.csv")
     print(
         f"ingested {report.total} lines: kept {report.kept}, "
-        f"skipped {report.total_skipped} ({len(series)} motes)"
+        f"skipped {report.total_skipped} ({len(trace.motes)} motes)"
     )
     return 0
 

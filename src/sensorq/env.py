@@ -34,9 +34,11 @@ the kept values; `episode_log` hands all but the labels to the metrics.
 
 Both signal sources reduce to the same episode setup: a (num_sensors, T)
 truth matrix and one (low, high) normalization range per sensor (the
-configured channel range, or the series' min and max over a replayed
-trace). EpisodeInputs builds that setup once per episode and experiment:
-every policy, eta and weight triple evaluated on an episode shares it.
+configured channel range, or the trace's min and max). A replayed trace is
+ingest's Trace grid; sensor (mote, kind) reads its values[k, c] row, held
+over gaps, and its low/high[k, c]. EpisodeInputs builds that setup once
+per episode and experiment: every policy, eta and weight triple evaluated
+on an episode shares it.
 """
 
 from __future__ import annotations
@@ -232,13 +234,13 @@ class EpisodeInputs:
 
     That is the observation clock, each sensor's normalization (low, span),
     a memo from episode to its (truth, events), and in replay mode `series`,
-    the hold-filled configured (mote, channel) series of the trace (read
-    once) as one read-only (num_sensors, n_slots) matrix, and the start slots
-    of its usable episode windows; a replay episode's truth is a view of its
-    window. The first env to reset to an episode (a seed, or a replay window)
-    fills the memo and every later one reads it, so the truth matrices are
-    read-only. Experiments build one per call and drop it on return; a
-    SensorEnv built without one gets its own, with no memo.
+    the configured (mote, channel) rows of the trace (read once), hold-filled
+    by metrics.zoh_hold, as one read-only (num_sensors, n_slots) matrix, and
+    the start slots of its usable episode windows; a replay episode's truth
+    is a view of its window. The first env to reset to an episode (a seed, or
+    a replay window) fills the memo and every later one reads it, so the
+    truth matrices are read-only. Experiments build one per call and drop it
+    on return; a SensorEnv built without one gets its own, with no memo.
     """
 
     def __init__(self, config: EnvConfig):
@@ -250,7 +252,7 @@ class EpisodeInputs:
         self.memo: dict | None = {}
         if config.mode == "synthetic":
             self.series, self.windows = None, []
-            ranges = [config.ranges[kind] for kind in config.sensor_kinds]
+            low, high = np.array([config.ranges[kind] for kind in config.sensor_kinds], dtype=float).T
         else:
             rc, T = config.replay, config.epochs
             require(rc.path, "replay mode needs a trace path")
@@ -258,20 +260,20 @@ class EpisodeInputs:
 
             trace, _ = ingest.load_trace(rc.path, delta_t=rc.delta_t)
             for mote, _ in rc.sensors:
-                require(mote in trace, f"mote {mote} missing from trace")
-            filled = {m: ingest.hold_fill(trace[m]) for m in {m for m, _ in rc.sensors}}
-            self.series = np.array([filled[m].values[kind] for m, kind in rc.sensors])
+                require(mote in trace.motes, f"mote {mote} missing from trace")
+            rows = [trace.motes.index(mote) for mote, _ in rc.sensors]
+            channels = [KIND_INDEX[kind] for _, kind in rc.sensors]
+            present = trace.present[rows]
+            self.series = metrics.zoh_hold(present, trace.values[rows, channels])
             self.series.flags.writeable = False
-            present = np.array([trace[m].present for m, _ in rc.sensors])
             first, last = rc.start_slot, min(present.shape[1], rc.end_slot or present.shape[1])
             n = (last - first) // T  # windows laid end to end from start_slot, inside the trace
             require(n > 0, f"trace range for mote {rc.sensors[0][0]} shorter than one episode")
             shares = present[:, first : first + n * T].reshape(len(present), n, T).mean(axis=2)
             self.windows = (first + T * np.flatnonzero((shares >= rc.min_presence).all(axis=0))).tolist()
             require(self.windows, "trace has no usable episode windows")
-            ranges = [trace[mote].stats[kind] for mote, kind in rc.sensors]
-        self.los = [lo for lo, _ in ranges]
-        self.spans = [hi - lo if hi > lo else 1.0 for lo, hi in ranges]
+            low, high = trace.low[rows, channels], trace.high[rows, channels]
+        self.los, self.spans = low.tolist(), metrics.spans(low, high).tolist()
 
     def without_memo(self) -> EpisodeInputs:
         """The same inputs with no memo, for training: its seeds never repeat."""
@@ -313,9 +315,10 @@ class SensorEnv:
     obs_dim = OBS_DIM
 
     def __init__(self, config: EnvConfig, inputs: EpisodeInputs | None = None):
-        config.validate()
-        if inputs is None:
+        if inputs is None:  # EpisodeInputs validates the config
             inputs = EpisodeInputs(config).without_memo()
+        else:
+            config.validate()
         require(inputs.key == _inputs_key(config), "episode inputs were built for another config")
         self.config = config
         self._inputs = inputs

@@ -23,6 +23,11 @@ starting at the earliest kept timestamp (slot = floor((t - t0) /
 delta_t)). Of one mote's readings in one slot the largest (timestamp,
 epoch, temperature, humidity, light, voltage) wins, the first line of
 equal ones (0.0 equals -0.0); one lexsort of the columns finds them all.
+
+The grid is one Trace: the mote ids, a (motes, slots) presence mask, the
+(motes, channels, slots) readings with NaN where a mote has none (a present
+slot holds all four channels, in signals.KINDS order) and each (mote,
+channel)'s min and max.
 """
 
 from __future__ import annotations
@@ -39,9 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, is_real, require
-from .metrics import fmt, hold_index, write_csv
-
-CHANNELS = ("temperature", "humidity", "light", "voltage")
+from .metrics import fmt, spans, write_csv
+from .signals import KINDS
 
 # cleaning windows: the public distribution of this kind of trace contains
 # faulted readings (negative lux, 100+ degC spikes) that must not reach training
@@ -104,17 +108,15 @@ class IngestReport:
 
 
 @dataclass
-class MoteSeries:
-    """One mote's four channels on the shared slot grid.
+class Trace:
+    """A trace on its slot grid, one row per mote: values[k, c] is mote
+    motes[k]'s channel KINDS[c], NaN where present[k] is False."""
 
-    values[channel] and present share one length; stats[channel] is the
-    (min, max) over present values.
-    """
-
-    mote: int
-    values: dict[str, np.ndarray]
-    present: np.ndarray
-    stats: dict[str, tuple[float, float]]
+    motes: list[int]  # ascending
+    present: np.ndarray  # (motes, slots) bool
+    values: np.ndarray  # (motes, channels, slots) float64
+    low: np.ndarray  # (motes, channels): min of the readings
+    high: np.ndarray  # (motes, channels): max of the readings
 
 
 @lru_cache(maxsize=DATE_CACHE)
@@ -153,8 +155,8 @@ def parse_line(line: str) -> SensorReading | ParseSkip:
     return SensorReading._make((stamp, epoch, mote, *channels))
 
 
-def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], IngestReport]:
-    """Parse a trace file into per-mote aligned series plus a skip report.
+def load_trace(path, delta_t: float = 60.0) -> tuple[Trace, IngestReport]:
+    """Parse a trace file into its aligned grid plus a skip report.
 
     Raises OSError when the file cannot be read and ConfigError when
     delta_t is not a finite number > 0, no reading survives cleaning, or
@@ -177,7 +179,7 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
     # plausibility is the last check, so an implausible row has no other fault
     columns = [np.frombuffer(c, dtype=c.typecode) for c in columns]
     plausible = np.logical_and.reduce(
-        [(lo <= col) & (col <= hi) for col, (lo, hi) in zip(columns[3:], map(PLAUSIBLE.get, CHANNELS))]
+        [(lo <= col) & (col <= hi) for col, (lo, hi) in zip(columns[3:], map(PLAUSIBLE.get, KINDS))]
     )
     report.kept = int(np.count_nonzero(plausible))
     if report.kept < len(plausible):
@@ -205,30 +207,14 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[dict[int, MoteSeries], Inge
     require(n_slots * len(ids) <= MAX_GRID_CELLS,  # False for inf too
             f"delta_t {delta_t!r} needs {n_slots:.3g} slots x {len(ids)} motes > {MAX_GRID_CELLS} cells")
     n_slots, slots = int(n_slots), slots.astype(np.int64)
-    series: dict[int, MoteSeries] = {}
-    for mote, held in zip(ids.tolist(), np.split(rows, firsts[1:])):
+    present = np.zeros((len(ids), n_slots), dtype=bool)
+    values = np.full((len(ids), len(KINDS), n_slots), np.nan)
+    for k, held in enumerate(np.split(rows, firsts[1:])):  # per mote: whole-trace indices raise the peak
         at = slots[held]
-        present = np.zeros(n_slots, dtype=bool)
-        present[at] = True
-        values = {}
-        for ch, column in zip(CHANNELS, channels):
-            values[ch] = np.full(n_slots, np.nan)
-            values[ch][at] = column[held]
-        stats = {
-            ch: (float(np.nanmin(values[ch])), float(np.nanmax(values[ch]))) for ch in CHANNELS
-        }
-        series[mote] = MoteSeries(mote, values, present, stats)
-    return series, report
-
-
-def hold_fill(series: MoteSeries) -> MoteSeries:
-    """Fill gaps by repeating the last present value (leading gaps take the
-    first present value). Presence flags are preserved for the record."""
-    if not series.present.any():
-        raise ConfigError(f"mote {series.mote}: series has no present slots")
-    last = hold_index(series.present)
-    filled = {ch: series.values[ch][last] for ch in CHANNELS}
-    return MoteSeries(series.mote, filled, series.present.copy(), dict(series.stats))
+        present[k, at] = True
+        for c, column in enumerate(channels):
+            values[k, c, at] = column[held]
+    return Trace(ids.tolist(), present, values, np.nanmin(values, axis=2), np.nanmax(values, axis=2)), report
 
 
 def write_report_csv(report: IngestReport, path) -> None:
@@ -236,26 +222,17 @@ def write_report_csv(report: IngestReport, path) -> None:
     write_csv(path, ["reason", "count"], rows)
 
 
-def _aligned_rows(series: dict[int, MoteSeries]):
-    """One row per (mote, slot); a missing value leaves empty cells."""
-    for mote in sorted(series):
-        ms = series[mote]
-        for slot in range(len(ms.present)):
-            raw, norm = [], []
-            for ch in CHANNELS:
-                v = ms.values[ch][slot]
-                if np.isnan(v):
-                    raw.append("")
-                    norm.append("")
-                    continue
-                lo, hi = ms.stats[ch]
-                span = hi - lo if hi > lo else 1.0
-                raw.append(fmt(v))
-                norm.append(fmt((float(v) - lo) / span))
-            yield [mote, slot, int(ms.present[slot])] + raw + norm
+def _aligned_rows(trace: Trace):
+    """One row per (mote, slot). A present slot holds all four readings and an
+    absent one none, so an absent slot leaves all eight value cells empty."""
+    for mote, present, raw, low, span in zip(
+            trace.motes, trace.present, trace.values, trace.low, spans(trace.low, trace.high)):
+        norm = (raw - low[:, None]) / span[:, None]
+        for slot, (here, cells, scaled) in enumerate(zip(present.tolist(), raw.T.tolist(), norm.T.tolist())):
+            yield [mote, slot, 1, *map(fmt, cells + scaled)] if here else [mote, slot, 0] + [""] * 8
 
 
-def write_aligned_csv(series: dict[int, MoteSeries], path) -> None:
+def write_aligned_csv(trace: Trace, path) -> None:
     """Inspection dump: raw and min/max-normalized values per (mote, slot)."""
-    header = ["mote", "slot", "present", *CHANNELS, *[f"{ch}_norm" for ch in CHANNELS]]
-    write_csv(path, header, _aligned_rows(series))
+    header = ["mote", "slot", "present", *KINDS, *[f"{ch}_norm" for ch in KINDS]]
+    write_csv(path, header, _aligned_rows(trace))

@@ -93,6 +93,12 @@ def hold_index(present: np.ndarray) -> np.ndarray:
     return np.where(idx < 0, np.argmax(present, axis=-1)[..., None], idx)
 
 
+def spans(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """high - low, or 1 where high <= low: the normalization range of each
+    (low, high) pair, which a flat channel must not make zero."""
+    return np.where(high > low, high - low, 1.0)
+
+
 def zoh_hold(kept: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Hold each kept value until the next kept epoch; epochs before the
     first take the first value. A row with nothing kept holds its first

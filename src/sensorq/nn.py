@@ -123,10 +123,6 @@ def init_network(sizes: list[int], rng: np.random.Generator) -> NetworkParams:
     return NetworkParams(layers)
 
 
-def zeros_like(params: NetworkParams) -> NetworkParams:
-    return params._over(np.zeros_like(params.flat))
-
-
 def forward_cached(params: NetworkParams, x: np.ndarray):
     """Batch forward pass keeping what `backward_batch` needs.
 

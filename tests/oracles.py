@@ -262,6 +262,31 @@ def key_tuple_trace(lines, delta_t, parse, plausible):
     return out, len(lines), len(readings), skipped
 
 
+def aligned_rows(grids):
+    """The aligned dump's rows, one cell at a time, from key_tuple_trace's
+    {mote: (values, present, stats)}: per (mote, slot) the mote, slot and
+    presence flag, then each channel's raw value and then each normalized
+    by its (min, max) (by 1 where max <= min), as "%.12g"; a missing value
+    leaves both of its cells empty."""
+    rows = []
+    for mote in sorted(grids):
+        values, present, stats = grids[mote]
+        for slot in range(len(present)):
+            raw, norm = [], []
+            for ch in values:
+                v = values[ch][slot]
+                if np.isnan(v):
+                    raw.append("")
+                    norm.append("")
+                    continue
+                lo, hi = stats[ch]
+                span = hi - lo if hi > lo else 1.0
+                raw.append(format(float(v), ".12g"))
+                norm.append(format((float(v) - lo) / span, ".12g"))
+            rows.append([mote, slot, int(present[slot])] + raw + norm)
+    return rows
+
+
 def rolling_std_events(values, window, k):
     """Epochs whose delta exceeds k times the np.std of the `window`
     deltas before it, one window at a time."""

@@ -22,6 +22,7 @@ from sensorq.experiments import (
     run_interference_sweep,
     run_weight_sweep,
 )
+from sensorq.signals import KINDS
 
 from oracles import fd_gradient, naive_detection, naive_forward, \
     naive_quality, naive_redundancy, naive_td_loss, stacked_log, value_iteration
@@ -285,7 +286,7 @@ def test_10_ingest_counts_and_slots(tmp_path):
             )
             + "\n"
         )
-        series, report = ingest.load_trace(trace, delta_t=60.0)
+        grid, report = ingest.load_trace(trace, delta_t=60.0)
         assert report.total == 7
         assert report.kept == 4
         assert report.skipped == {
@@ -293,10 +294,10 @@ def test_10_ingest_counts_and_slots(tmp_path):
             ingest.R_RANGE: 1,
             ingest.R_NUMBER: 1,
         }
-        ms = series[1]
+        assert grid.motes == [1]
         # hand-computed floor((t - t0) / 60): offsets 0, 59, 61, 121 s
-        np.testing.assert_array_equal(ms.values["temperature"], [21.0, 22.0, 23.0])
-        np.testing.assert_array_equal(ms.present, [True, True, True])
+        np.testing.assert_array_equal(grid.values[0, KINDS.index("temperature")], [21.0, 22.0, 23.0])
+        np.testing.assert_array_equal(grid.present, [[True, True, True]])
 
 
 def test_11_manifest_determinism(tmp_path):

@@ -391,6 +391,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"sensores": ["light"]})
 
+    def test_env_validates_its_config_once(self, monkeypatch):
+        """Built alone, the env's config is validated once, by its own
+        EpisodeInputs; with shared inputs the env still validates it, since
+        eta and the weights, which the inputs never read, may differ."""
+        calls, validate = [], EnvConfig.validate
+        monkeypatch.setattr(EnvConfig, "validate", lambda cfg: calls.append(cfg) or validate(cfg))
+        cfg = EnvConfig(epochs=5)
+        SensorEnv(cfg)
+        assert len(calls) == 1
+        inputs = EpisodeInputs(cfg)
+        calls.clear()
+        SensorEnv(dataclasses.replace(cfg, eta=0.5), inputs)
+        assert len(calls) == 1
+        with pytest.raises(ConfigError, match="eta"):
+            SensorEnv(dataclasses.replace(cfg, eta=2.0), inputs)
+
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"epochs": 1})
@@ -499,19 +515,19 @@ class TestReplayWindows:
             min_presence=min_presence))
         assert EpisodeInputs(cfg).windows == expected
 
-    def test_truth_is_a_read_only_view_of_the_configured_series(self, tmp_path, monkeypatch):
+    def test_truth_is_a_read_only_view_of_the_configured_series(self, tmp_path):
         path = tmp_path / "trace.txt"
         write_gapped_trace(path, np.random.default_rng(7), 60, {1: 0.2, 2: 0.3, 3: 0.1, 4: 0.4})
         sensors = [(2, "humidity"), (1, "temperature"), (2, "light")]  # motes 3 and 4 unread
-        filled, fill = [], ingest.hold_fill
-        monkeypatch.setattr(ingest, "hold_fill", lambda s: filled.append(s.mote) or fill(s))
         inputs = EpisodeInputs(EnvConfig(epochs=6, mode="replay", replay=ReplayConfig(
             sensors=sensors, path=str(path), min_presence=0.0)))
-        assert sorted(filled) == [1, 2]  # once per configured mote
         trace, _ = ingest.load_trace(path)
         assert inputs.series.shape == (len(sensors), 60) and not inputs.series.flags.writeable
         for row, (mote, kind) in zip(inputs.series, sensors):
-            np.testing.assert_array_equal(row, ingest.hold_fill(trace[mote]).values[kind])
+            k = trace.motes.index(mote)
+            assert not trace.present[k].all()  # a gap to hold over
+            held = metrics.zoh_hold(trace.present[k], trace.values[k, KINDS.index(kind)])
+            np.testing.assert_array_equal(row, held)
         assert inputs.windows == list(range(0, 60, 6))
         for seed, start in enumerate(inputs.windows):
             truth, _ = inputs.episode(seed)

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -8,21 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import sensorq
-from oracles import key_tuple_trace, strptime_timestamp
+from oracles import aligned_rows, key_tuple_trace, strptime_timestamp
 from sensorq import ingest
+from sensorq.env import SAMPLE, EnvConfig, EpisodeInputs, ReplayConfig, SensorEnv
 from sensorq.errors import ConfigError
-from sensorq.ingest import (
-    MoteSeries,
-    ParseSkip,
-    SensorReading,
-    hold_fill,
-    load_trace,
-    parse_line,
-)
+from sensorq.ingest import ParseSkip, SensorReading, load_trace, parse_line
+from sensorq.signals import KINDS
 
 GOOD = "2004-03-01 00:58:46.002832 2 1 19.98 37.09 45.08 2.69"
 
@@ -44,6 +41,11 @@ def write_trace(tmp_path, lines, name="trace.txt"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def row(trace, mote, kind):
+    """One (mote, channel) row of a trace's values."""
+    return trace.values[trace.motes.index(mote), KINDS.index(kind)]
 
 
 class TestParseLine:
@@ -176,16 +178,16 @@ class TestLoadTrace:
         lines = [
             f"2004-03-01 00:0{i}:00.0 {i} 1 2{i}.0 40.0 100.0 2.7" for i in range(5)
         ]
-        series, report = load_trace(write_trace(tmp_path, lines))
+        trace, report = load_trace(write_trace(tmp_path, lines))
         assert report.total == 5 and report.kept == 5 and report.total_skipped == 0
-        assert 1 in series
+        assert trace.motes == [1]
 
     def test_out_of_window_temperature_skipped(self, tmp_path):
         lines = [
             "2004-03-01 00:00:00.0 0 1 20.0 40.0 100.0 2.7",
             "2004-03-01 00:01:00.0 1 1 200.0 40.0 100.0 2.7",
         ]
-        series, report = load_trace(write_trace(tmp_path, lines))
+        _, report = load_trace(write_trace(tmp_path, lines))
         assert report.kept == 1
         assert report.skipped == {ingest.R_RANGE: 1}
 
@@ -209,12 +211,11 @@ class TestLoadTrace:
             "2004-03-01 00:01:06.0 2 1 22.0 40.0 100.0 2.7",
             "2004-03-01 00:02:06.0 3 1 23.0 40.0 100.0 2.7",
         ]
-        series, _ = load_trace(write_trace(tmp_path, lines), delta_t=60.0)
-        ms = series[1]
-        assert len(ms.present) == 3
-        assert ms.present.all()
+        trace, _ = load_trace(write_trace(tmp_path, lines), delta_t=60.0)
+        assert trace.present.shape == (1, 3) and trace.values.shape == (1, len(KINDS), 3)
+        assert trace.present.all()
         # slot 0 conflict keeps the later reading (21.0)
-        np.testing.assert_array_equal(ms.values["temperature"], [21.0, 22.0, 23.0])
+        np.testing.assert_array_equal(row(trace, 1, "temperature"), [21.0, 22.0, 23.0])
 
     def test_shuffled_lines_yield_same_series(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -222,28 +223,25 @@ class TestLoadTrace:
             f"2004-03-01 00:{i:02d}:00.0 {i} {1 + i % 2} {20 + i}.0 40.0 100.0 2.7"
             for i in range(10)
         ]
-        series_a, report_a = load_trace(write_trace(tmp_path, lines, "a.txt"))
+        trace_a, report_a = load_trace(write_trace(tmp_path, lines, "a.txt"))
         shuffled = list(lines)
         rng.shuffle(shuffled)
-        series_b, report_b = load_trace(write_trace(tmp_path, shuffled, "b.txt"))
+        trace_b, report_b = load_trace(write_trace(tmp_path, shuffled, "b.txt"))
         assert report_a.kept == report_b.kept
-        for mote in series_a:
-            np.testing.assert_array_equal(
-                series_a[mote].values["temperature"], series_b[mote].values["temperature"]
-            )
-            np.testing.assert_array_equal(series_a[mote].present, series_b[mote].present)
+        assert trace_a.motes == trace_b.motes == [1, 2]
+        np.testing.assert_array_equal(trace_a.values, trace_b.values)
+        np.testing.assert_array_equal(trace_a.present, trace_b.present)
 
     def test_stats_bound_kept_values(self, tmp_path):
         lines = [
             f"2004-03-01 00:0{i}:00.0 {i} 1 {18 + 2 * i}.0 {30 + i}.0 {90 + i}.0 2.7"
             for i in range(4)
         ]
-        series, _ = load_trace(write_trace(tmp_path, lines))
-        ms = series[1]
-        for ch in ingest.CHANNELS:
-            lo, hi = ms.stats[ch]
-            kept = ms.values[ch][ms.present]
-            assert lo <= kept.min() and kept.max() <= hi
+        trace, _ = load_trace(write_trace(tmp_path, lines))
+        assert trace.low.shape == trace.high.shape == (1, len(KINDS))
+        for c in range(len(KINDS)):
+            kept = trace.values[0, c][trace.present[0]]
+            assert trace.low[0, c] == kept.min() and kept.max() == trace.high[0, c]
 
     @pytest.mark.parametrize("tz", ["UTC", "Europe/Berlin"])
     def test_slots_ignore_local_daylight_saving(self, tmp_path, local_tz, tz):
@@ -253,8 +251,8 @@ class TestLoadTrace:
             "2004-03-28 03:30:00 1 1 21.0 40.0 100.0 2.7",
         ]
         local_tz(tz)
-        series, _ = load_trace(write_trace(tmp_path, lines), delta_t=3600.0)
-        np.testing.assert_array_equal(series[1].present, [True, False, True])
+        trace, _ = load_trace(write_trace(tmp_path, lines), delta_t=3600.0)
+        np.testing.assert_array_equal(trace.present, [[True, False, True]])
 
     def test_empty_file_is_config_error(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -284,11 +282,11 @@ class TestLoadTrace:
             f"2004-03-01 00:00:00.0 0 {2**64} 22.0 40.0 100.0 2.7",
             f"2004-03-01 00:01:00.0 1 {2**63 - 1} 23.0 40.0 100.0 2.7",
         ]
-        series, report = load_trace(write_trace(tmp_path, lines))
+        trace, report = load_trace(write_trace(tmp_path, lines))
         assert report.skipped == {ingest.R_NUMBER: 2} and report.kept == 2
-        assert list(series) == [1, 2**63 - 1]
-        assert all(type(m) is int for m in series)
-        np.testing.assert_array_equal(series[2**63 - 1].values["temperature"], [np.nan, 23.0])
+        assert trace.motes == [1, 2**63 - 1]
+        assert all(type(m) is int for m in trace.motes)
+        np.testing.assert_array_equal(row(trace, 2**63 - 1, "temperature"), [np.nan, 23.0])
 
     @pytest.mark.parametrize("delta_t", [0.0, -60.0, float("nan"), float("inf")])
     def test_bad_delta_t_is_config_error(self, tmp_path, delta_t):
@@ -302,7 +300,7 @@ class TestLoadTrace:
         path = write_trace(tmp_path, ["2004-03-01 00:00:00 0 1 20.0 40.0 100.0 2.7",
                                       "2004-03-01 00:02:59 1 2 20.0 40.0 100.0 2.7"])
         if ok:
-            assert len(load_trace(path, delta_t=60.0)[0][1].present) == 3
+            assert load_trace(path, delta_t=60.0)[0].present.shape == (2, 3)
         else:
             with pytest.raises(ConfigError, match=r"needs 3 slots x 2 motes > 5 cells"):
                 load_trace(path, delta_t=60.0)
@@ -344,18 +342,18 @@ _BAD_LINE = st.sampled_from([
 
 
 def assert_matches_key_tuple_oracle(path, lines, delta_t):
-    series, report = load_trace(path, delta_t)
+    trace, report = load_trace(path, delta_t)
     want, total, kept, skipped = key_tuple_trace(lines, delta_t, parse_line, ingest.PLAUSIBLE)
     assert (report.total, report.kept, report.skipped) == (total, kept, skipped)
-    assert list(series) == list(want)
-    for mote, (values, present, stats) in want.items():
-        ms = series[mote]
-        assert ms.mote == mote and type(ms.mote) is int
-        np.testing.assert_array_equal(ms.present, present)
-        for ch in ingest.CHANNELS:  # bytes: NaN equals NaN, and 0.0 differs from -0.0
-            assert ms.values[ch].tobytes() == values[ch].tobytes()
-        assert np.array(list(ms.stats.values())).tobytes() == np.array(list(stats.values())).tobytes()
-    return series
+    assert trace.motes == list(want) and all(type(m) is int for m in trace.motes)
+    assert len(trace.present) == len(trace.values) == len(trace.low) == len(trace.high) == len(want)
+    for k, (values, present, stats) in enumerate(want.values()):
+        np.testing.assert_array_equal(trace.present[k], present)
+        # bytes: NaN equals NaN, and 0.0 differs from -0.0
+        assert trace.values[k].tobytes() == np.array([values[ch] for ch in KINDS]).tobytes()
+        bounds = np.stack([trace.low[k], trace.high[k]], axis=1)  # (channel, [min, max])
+        assert bounds.tobytes() == np.array([stats[ch] for ch in KINDS]).tobytes()
+    return trace
 
 
 class TestGridMatchesKeyTupleOracle:
@@ -371,13 +369,13 @@ class TestGridMatchesKeyTupleOracle:
             "2004-03-01 00:03:10.5 5 2 20 40 5 2.7",
             "2004-03-01 00:03:50 4 2 30 40 5 2.7",  # later in the slot, lower epoch: wins
         ]
-        series = assert_matches_key_tuple_oracle(write_trace(tmp_path, lines), lines, 60.0)
-        assert np.signbit(series[1].values["light"][0])
-        np.testing.assert_array_equal(series[1].values["temperature"], [20, 19, 21, np.nan])
-        np.testing.assert_array_equal(series[2].values["temperature"], [np.nan] * 3 + [30])
+        trace = assert_matches_key_tuple_oracle(write_trace(tmp_path, lines), lines, 60.0)
+        assert np.signbit(row(trace, 1, "light")[0])
+        np.testing.assert_array_equal(row(trace, 1, "temperature"), [20, 19, 21, np.nan])
+        np.testing.assert_array_equal(row(trace, 2, "temperature"), [np.nan] * 3 + [30])
         swapped = [lines[1], lines[0], *lines[2:]]
-        series = assert_matches_key_tuple_oracle(write_trace(tmp_path, swapped), swapped, 60.0)
-        assert not np.signbit(series[1].values["light"][0])
+        trace = assert_matches_key_tuple_oracle(write_trace(tmp_path, swapped), swapped, 60.0)
+        assert not np.signbit(row(trace, 1, "light")[0])
 
     @given(
         good=st.lists(_LINE, min_size=1, max_size=30),
@@ -397,6 +395,24 @@ class TestGridMatchesKeyTupleOracle:
             assert_matches_key_tuple_oracle(write_trace(Path(tmp), lines), lines, delta_t)
         for line in good:  # each line's cached date gives strptime's stamp
             assert parse_line(line).timestamp == strptime_timestamp(*line.split()[:2])
+
+
+@given(lines=st.lists(_LINE, min_size=1, max_size=30), delta_t=st.sampled_from([0.25, 1.0, 30.0, 60.0]))
+# gaps in both motes, flat humidity and voltage, a light of -0.0 that is also its mote's max
+@example(lines=["2004-03-01 00:00:00 0 1 20 40 -0.0 2.7", "2004-03-01 00:02:30 1 1 21.5 40 -0 2.7",
+                "2004-03-01 00:01:00 2 2 -0 0 100 2.7", "2004-03-01 00:04:00 3 2 20 0 0.0 2.7"],
+         delta_t=60.0)
+def test_aligned_csv_matches_the_per_cell_oracle(lines, delta_t):
+    """aligned.csv has the bytes of the per-cell dump of the key-tuple grid."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "aligned.csv"
+        ingest.write_aligned_csv(load_trace(write_trace(Path(tmp), lines), delta_t)[0], out)
+        got = out.read_bytes()
+    want = io.StringIO(newline="")
+    header = ["mote", "slot", "present", *KINDS, *[f"{ch}_norm" for ch in KINDS]]
+    grids = key_tuple_trace(lines, delta_t, parse_line, ingest.PLAUSIBLE)[0]
+    csv.writer(want).writerows([header, *aligned_rows(grids)])
+    assert got == want.getvalue().encode()
 
 
 _RSS_PROBE = """
@@ -431,51 +447,40 @@ def test_load_trace_peak_memory_is_columnar(tmp_path):
 
 
 class TestGapFill:
-    def make_series(self, values, present):
-        vals = {ch: np.array(values, dtype=float) for ch in ingest.CHANNELS}
-        arr = np.array(present, dtype=bool)
-        if arr.any():
-            stats = {
-                ch: (float(np.nanmin(vals[ch])), float(np.nanmax(vals[ch])))
-                for ch in ingest.CHANNELS
-            }
-        else:
-            stats = {ch: (0.0, 0.0) for ch in ingest.CHANNELS}
-        return MoteSeries(1, vals, arr, stats)
+    """Replay holds each configured series' last present value over its gaps."""
 
-    def test_fully_present_unchanged(self):
-        s = self.make_series([1.0, 2.0, 3.0], [1, 1, 1])
-        filled = hold_fill(s)
-        np.testing.assert_array_equal(filled.values["light"], [1.0, 2.0, 3.0])
+    def replayed(self, tmp_path, temps, sensors=((1, "temperature"),)):
+        """EpisodeInputs.series of a trace whose mote 1 reads temps[s] in slot
+        s (None: no reading) and whose mote 2 reads in every slot."""
+        lines = [f"2004-03-01 00:{s:02d}:00.0 {s} {m} {30.0 if m == 2 else t} 40.0 100.0 2.7"
+                 for s, t in enumerate(temps) for m in (1, 2) if m == 2 or t is not None]
+        cfg = EnvConfig(epochs=len(temps), mode="replay", replay=ReplayConfig(
+            sensors=list(sensors), path=str(write_trace(tmp_path, lines)), min_presence=0.0))
+        return EpisodeInputs(cfg).series
 
-    def test_hold_repeats_last_value(self):
-        s = self.make_series([5.0, np.nan, np.nan, 7.0], [1, 0, 0, 1])
-        filled = hold_fill(s)
-        np.testing.assert_array_equal(filled.values["humidity"], [5.0, 5.0, 5.0, 7.0])
-        np.testing.assert_array_equal(filled.present, [1, 0, 0, 1])
+    def test_fully_present_unchanged(self, tmp_path):
+        np.testing.assert_array_equal(self.replayed(tmp_path, [1.0, 2.0, 3.0]), [[1.0, 2.0, 3.0]])
 
-    def test_leading_gap_back_fills(self):
-        s = self.make_series([np.nan, 4.0, np.nan], [0, 1, 0])
-        filled = hold_fill(s)
-        np.testing.assert_array_equal(filled.values["voltage"], [4.0, 4.0, 4.0])
+    def test_hold_repeats_last_value(self, tmp_path):
+        np.testing.assert_array_equal(self.replayed(tmp_path, [5.0, None, None, 7.0]), [[5, 5, 5, 7]])
 
-    def test_all_absent_rejected(self):
-        s = self.make_series([np.nan, np.nan], [0, 0])
-        with pytest.raises(ConfigError):
-            hold_fill(s)
+    def test_leading_gap_back_fills(self, tmp_path):
+        np.testing.assert_array_equal(self.replayed(tmp_path, [None, 4.0, None]), [[4.0, 4.0, 4.0]])
+
+    def test_all_absent_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="mote 3 missing from trace"):
+            self.replayed(tmp_path, [1.0, 2.0], sensors=[(1, "light"), (3, "light")])
 
 
 class TestReplayIntegration:
     def test_replay_env_reproduces_series_exactly(self, tmp_path):
-        from sensorq.env import EnvConfig, ReplayConfig, SensorEnv, SAMPLE
-
         lines = [
             f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + np.sin(i / 3):.4f} 40.0 100.0 2.7"
             for i in range(20)
         ]
         path = write_trace(tmp_path, lines)
-        series, _ = load_trace(path)
-        trace = {m: hold_fill(s) for m, s in series.items()}
+        trace, _ = load_trace(path)
+        assert trace.present.all()  # nothing to hold
         cfg = EnvConfig(
             epochs=10,
             mode="replay",
@@ -487,13 +492,11 @@ class TestReplayIntegration:
         done = False
         while not done:
             _, _, done, _ = env.step([SAMPLE])
-        expected = trace[1].values["temperature"][:10]
+        expected = row(trace, 1, "temperature")[:10]
         got = env._values[0][env._kept[0]]
         np.testing.assert_array_equal(got, expected)
 
     def test_low_presence_window_excluded(self, tmp_path):
-        from sensorq.env import EnvConfig, ReplayConfig, SensorEnv
-
         # slots 0-4 hold one reading (presence 0.2), slots 5-9 four (0.8)
         lines = [
             f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i}.0 40.0 100.0 2.7"
@@ -512,15 +515,13 @@ class TestReplayIntegration:
 
     @pytest.mark.parametrize("end_slot", [None, 20, 40])
     def test_every_window_supplies_epochs_values(self, tmp_path, end_slot):
-        from sensorq.env import EnvConfig, ReplayConfig, SensorEnv
-
         lines = [
             f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 7}.0 40.0 100.0 2.7"
             for i in range(23)
         ]
         path = write_trace(tmp_path, lines)
-        series, _ = load_trace(path)
-        trace = {m: hold_fill(s) for m, s in series.items()}
+        trace, _ = load_trace(path)
+        assert trace.present.all()  # nothing to hold
         cfg = EnvConfig(
             epochs=8,
             mode="replay",
@@ -534,7 +535,7 @@ class TestReplayIntegration:
             assert start + cfg.epochs <= 23
             env.reset(seed)
             np.testing.assert_array_equal(
-                env._truth[0], trace[1].values["temperature"][start : start + cfg.epochs]
+                env._truth[0], row(trace, 1, "temperature")[start : start + cfg.epochs]
             )
 
     def test_report_csv(self, tmp_path):
@@ -547,15 +548,13 @@ class TestReplayIntegration:
         assert ingest.R_FIELDS in text
 
     def test_slot_range_splits_trace(self, tmp_path):
-        from sensorq.env import EnvConfig, ReplayConfig, SensorEnv
-
         lines = [
             f"2004-03-01 00:{i:02d}:00.0 {i} 1 {20 + i % 7}.0 40.0 100.0 2.7"
             for i in range(30)
         ]
         path = write_trace(tmp_path, lines)
-        series, _ = load_trace(path)
-        trace = {m: hold_fill(s) for m, s in series.items()}
+        trace, _ = load_trace(path)
+        assert trace.present.all()  # nothing to hold
         cfg = EnvConfig(
             epochs=10,
             mode="replay",
@@ -563,4 +562,4 @@ class TestReplayIntegration:
         )
         env = SensorEnv(cfg)
         env.reset(0)
-        np.testing.assert_array_equal(env._truth[0], trace[1].values["temperature"][10:20])
+        np.testing.assert_array_equal(env._truth[0], row(trace, 1, "temperature")[10:20])

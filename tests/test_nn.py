@@ -10,6 +10,13 @@ def tiny_net(sizes, seed):
     return nn.init_network(sizes, np.random.default_rng(seed))
 
 
+def zero_grad(params):
+    """A gradient of zeros laid out like params."""
+    zeros = params.copy()
+    zeros.flat[:] = 0.0
+    return zeros
+
+
 def flatten(params):
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params.layers])
 
@@ -28,7 +35,7 @@ def unflatten(flat, template):
 
 class TestForward:
     def test_all_zero_params_give_zero_output(self):
-        params = nn.zeros_like(tiny_net([3, 5, 2], 0))
+        params = zero_grad(tiny_net([3, 5, 2], 0))
         assert np.array_equal(nn.forward_batch(params, np.ones(3)[None])[0], np.zeros(2))
 
     def test_identity_linear_layer(self):
@@ -121,7 +128,7 @@ class TestBackward:
         xs = rng.normal(size=(4, 3))
         gs = rng.normal(size=(4, 2))
         batch = nn.backward_batch(params, nn.forward_cached(params, xs), gs)
-        summed = nn.zeros_like(params)
+        summed = zero_grad(params)
         for i in range(4):
             one = nn.backward_batch(params, nn.forward_cached(params, xs[i][None]), gs[i][None])
             summed = nn.NetworkParams(
@@ -143,7 +150,7 @@ class TestAdam:
         params = tiny_net([3, 4, 2], 2)
         before = params.copy()
         state = nn.adam_init(params)
-        new, state2 = nn.adam_step(params, nn.zeros_like(params), state)
+        new, state2 = nn.adam_step(params, zero_grad(params), state)
         for (w, b), (w2, b2) in zip(before.layers, new.layers):
             np.testing.assert_array_equal(w, w2)
             np.testing.assert_array_equal(b, b2)
