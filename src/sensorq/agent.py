@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import TrainingDiverged, dataclass_kwargs, is_int, is_real, require
+from .errors import ConfigError, TrainingDiverged, dataclass_kwargs, is_int, is_real, require
 from .metrics import fmt, write_csv
 
 
@@ -42,24 +42,31 @@ class Batch:
 
 
 class ReplayPool:
-    """Bounded FIFO of transitions backed by preallocated arrays.
+    """Bounded FIFO of transitions in preallocated ring arrays.
 
     Pushing past capacity evicts the oldest entry; sampling draws
     uniformly with replacement and returns None until the pool holds at
     least `batch_size` transitions (the caller skips training then).
+    The arrays come from np.empty: rows are read only once pushed, and
+    np.zeros would memset the whole ring (making it resident) whenever
+    the allocator hands back freed heap.
     """
 
     def __init__(self, capacity: int, obs_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._s = np.zeros((capacity, obs_dim))
-        self._a = np.zeros(capacity, dtype=np.int64)
-        self._r = np.zeros(capacity)
-        self._s2 = np.zeros((capacity, obs_dim))
-        self._done = np.zeros(capacity, dtype=bool)
+        try:
+            self._s = np.empty((capacity, obs_dim))
+            self._a = np.empty(capacity, dtype=np.int64)
+            self._r = np.empty(capacity)
+            self._s2 = np.empty((capacity, obs_dim))
+            self._done = np.empty(capacity, dtype=bool)
+        except MemoryError:
+            raise ConfigError(f"replay_capacity {capacity} does not fit in memory") from None
         self._head = 0
         self._size = 0
+        self._batch: Batch | None = None
 
     def __len__(self) -> int:
         return self._size
@@ -75,19 +82,33 @@ class ReplayPool:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch | None:
+        """`batch_size` rows drawn by one rng.integers(0, len(pool)) call,
+        gathered into a Batch that the pool owns and reuses: the next
+        `sample` overwrites it, so a caller that keeps a batch copies it."""
         if self._size < batch_size:
             return None
         idx = rng.integers(0, self._size, size=batch_size)
-        return Batch(self._s[idx], self._a[idx], self._r[idx], self._s2[idx], self._done[idx])
+        b = self._batch
+        if b is None or len(b) != batch_size:
+            b = self._batch = Batch(*(np.empty((batch_size, *col.shape[1:]), col.dtype)
+                                      for col in (self._s, self._a, self._r, self._s2, self._done)))
+        self._s.take(idx, axis=0, out=b.s)
+        self._a.take(idx, out=b.a)
+        self._r.take(idx, out=b.r)
+        self._s2.take(idx, axis=0, out=b.s2)
+        self._done.take(idx, out=b.done)
+        return b
 
 
 def td_loss(
-    batch: Batch, online: nn.NetworkParams, target: nn.NetworkParams, gamma: float
+    batch: Batch, online: nn.NetworkParams, target: nn.NetworkParams, gamma: float,
+    grads: nn.NetworkParams | None = None,
 ) -> tuple[float, nn.NetworkParams]:
     """Mean squared Bellman residual over the batch and its gradient.
 
     Targets come from the target network and are treated as constants:
-    no gradient flows through them.
+    no gradient flows through them. The gradient goes into `grads` as in
+    nn.backward_batch.
     """
     n = len(batch)
     if n == 0:
@@ -96,26 +117,31 @@ def td_loss(
     y = batch.r + gamma * q_next.max(axis=1) * ~batch.done
     acts, zs = nn.forward_cached(online, batch.s)
     q_all = acts[-1]
-    q_sa = q_all[np.arange(n), batch.a]
-    residual = q_sa - y
-    loss = float(np.mean(residual**2))
-    grad_out = np.zeros_like(q_all)
-    grad_out[np.arange(n), batch.a] = 2.0 * residual / n
-    grads = nn.backward_batch(online, (acts, zs), grad_out)
-    return loss, grads
+    rows = np.arange(n)
+    residual = q_all[rows, batch.a] - y
+    loss = float((residual**2).sum() / n)  # np.mean's sum and divide, without its wrapper
+    grad_out = np.zeros(q_all.shape)
+    grad_out[rows, batch.a] = 2.0 * residual / n
+    return loss, nn.backward_batch(online, (acts, zs), grad_out, grads)
 
 
-def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy: argmax with prob 1 - eps (ties -> lowest index),
-    uniform over all actions with prob eps."""
-    q_values = np.asarray(q_values)
-    if q_values.size == 0:
-        raise ValueError("q_values must be non-empty")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(q_values.size))
-    return int(np.argmax(q_values))
+def select_action(
+    q: np.ndarray, mask: np.ndarray, epsilon: float, rng: np.random.Generator
+) -> list[int | None]:
+    """Epsilon-greedy actions from a (sensors, actions) Q matrix: None for
+    each sensor where mask is False; for the others, in sensor order, a
+    uniform action with prob eps, else the argmax of its row (ties -> lowest
+    index). Each deciding sensor draws rng.random() when eps > 0, and
+    rng.integers(actions) only when it explores."""
+    if q.ndim != 2 or q.shape[1] == 0 or np.shape(mask) != (len(q),) or not 0 <= epsilon <= 1:
+        raise ValueError("need a non-empty (sensors, actions) q, a mask per row, eps in [0, 1]")
+    actions = q.argmax(axis=1).tolist()
+    for i, decides in enumerate(mask.tolist()):
+        if not decides:
+            actions[i] = None
+        elif epsilon > 0.0 and rng.random() < epsilon:
+            actions[i] = int(rng.integers(q.shape[1]))
+    return actions
 
 
 def decay_epsilon(epsilon: float, rho: float, eps_min: float) -> float:
@@ -188,6 +214,7 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
     online = nn.init_network(sizes, np.random.default_rng(init_ss))
     target = online.copy()
     opt = nn.adam_init(online, step_size=hypers.lr)
+    grads = online.copy()  # every train step overwrites it
     pool = ReplayPool(hypers.replay_capacity, env.obs_dim)
     action_rng = np.random.default_rng(action_ss)
     replay_rng = np.random.default_rng(replay_ss)
@@ -208,14 +235,10 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
         done = False
         while not done:
             mask = env.decision_mask
-            q = nn.forward_batch(online, obs)
-            actions: list[int | None] = [None] * n
-            for i in range(n):
-                if not mask[i]:
-                    continue
+            actions = select_action(nn.forward_batch(online, obs), mask, epsilon, action_rng)
+            for i in np.flatnonzero(mask).tolist():
                 if pending[i]:
                     pool.push(pend_s[i], pend_a[i], pend_r[i], obs[i], False)
-                actions[i] = select_action(q[i], epsilon, action_rng)
                 pend_s[i], pend_a[i], pend_r[i], pending[i] = obs[i], actions[i], 0.0, True
             rewards, obs2, done, truncated = env.step(actions)
             # sensor by sensor, left to right: a pairwise sum would move bits
@@ -232,7 +255,7 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
             if len(pool) >= max(hypers.warmup, hypers.batch_size):
                 for _ in range(hypers.train_per_step):
                     batch = pool.sample(hypers.batch_size, replay_rng)
-                    loss, grads = td_loss(batch, online, target, hypers.gamma)
+                    loss, grads = td_loss(batch, online, target, hypers.gamma, grads)
                     try:
                         online, opt = nn.adam_step(online, grads, opt)
                     except ValueError as exc:

@@ -129,7 +129,8 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
     x is (batch, in_dim); returns (activations, pre_activations) where
     activations[0] is the input and activations[-1] the linear output.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64):
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(f"input shape {x.shape}, expected (n, {params.in_dim})")
     acts = [x]
@@ -137,7 +138,8 @@ def forward_cached(params: NetworkParams, x: np.ndarray):
     last = len(params.layers) - 1
     a = x
     for i, (w, b) in enumerate(params.layers):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b  # in place: the same sum as a @ w.T + b
         zs.append(z)
         a = z if i == last else np.maximum(z, 0.0)
         acts.append(a)
@@ -150,23 +152,27 @@ def forward_batch(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return acts[-1]
 
 
-def backward_batch(params: NetworkParams, cache, grad_out: np.ndarray) -> NetworkParams:
+def backward_batch(params: NetworkParams, cache, grad_out: np.ndarray, grads=None) -> NetworkParams:
     """Reverse-mode gradient of sum_i grad_out[i] . Q(x[i]) with respect to
     every parameter, where `cache` is `forward_cached(params, x)` for the
     (batch, in_dim) input x and grad_out is (batch, out_dim). The gradient
-    is written into one new flat vector."""
+    overwrites all of `grads`, a container shaped like `params` that a
+    training loop passes in every step, and is returned; with no `grads`
+    it goes into a new container."""
     acts, zs = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if len(zs) != len(params.layers) or grad_out.shape != (acts[0].shape[0], params.out_dim):
         raise ValueError("batch shapes inconsistent with network dimensions")
-    grads = params._over(np.empty_like(params.flat))
+    if grads is None:
+        grads = params._over(np.empty_like(params.flat))
     delta = grad_out
     for i in range(len(params.layers) - 1, -1, -1):
         gw, gb = grads.layers[i]
         np.matmul(delta.T, acts[i], out=gw)
         delta.sum(axis=0, out=gb)
         if i > 0:
-            delta = (delta @ params.layers[i][0]) * (zs[i - 1] > 0.0)
+            delta = delta @ params.layers[i][0]
+            delta *= zs[i - 1] > 0.0
     return grads
 
 

@@ -1,8 +1,15 @@
+import copy
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sensorq
 from sensorq import nn
 from sensorq.agent import (
     AgentHyperParams,
@@ -170,37 +177,64 @@ class TestTdLoss:
             td_loss(empty, online, online.copy(), 0.9)
 
 
+def decide_all(rows, epsilon, rng):
+    """select_action with every sensor deciding, for a Q matrix of `rows`."""
+    q = np.array(rows, dtype=float)
+    return select_action(q, np.ones(len(q), dtype=bool), epsilon, rng)
+
+
 class TestSelectAction:
     def test_greedy_when_epsilon_zero(self):
         rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         for _ in range(100):
-            assert select_action(np.array([0.1, 0.9, 0.3]), 0.0, rng) == 1
+            assert decide_all([[0.1, 0.9, 0.3], [0.7, 0.2, 0.1]], 0.0, rng) == [1, 0]
+        assert rng.bit_generator.state == state  # eps = 0 draws nothing
 
     def test_tie_breaks_to_lowest_index(self):
         rng = np.random.default_rng(0)
-        assert select_action(np.array([0.5, 0.5, 0.2]), 0.0, rng) == 0
+        assert decide_all([[0.5, 0.5, 0.2], [0.1, 0.4, 0.4]], 0.0, rng) == [0, 1]
 
     def test_uniform_when_epsilon_one(self):
         rng = np.random.default_rng(7)
-        counts = np.zeros(4)
-        for _ in range(100_000):
-            counts[select_action(np.array([9.0, 0.0, 0.0, 0.0]), 1.0, rng)] += 1
-        freqs = counts / counts.sum()
+        actions = decide_all(np.tile([9.0, 0.0, 0.0, 0.0], (100_000, 1)), 1.0, rng)
+        freqs = np.bincount(actions, minlength=4) / len(actions)
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
     def test_mixture_probability_closed_form(self):
         rng = np.random.default_rng(8)
-        greedy = sum(
-            select_action(np.array([0.2, 0.8]), 0.2, rng) == 1 for _ in range(100_000)
-        )
-        assert abs(greedy / 100_000 - 0.9) < 0.01
+        actions = decide_all(np.tile([0.2, 0.8], (100_000, 1)), 0.2, rng)
+        assert abs(actions.count(1) / 100_000 - 0.9) < 0.01
+
+    def test_draws_per_deciding_sensor_in_order(self):
+        # each deciding sensor, left to right, draws random() and, only when
+        # it explores, integers(num_actions); masked sensors draw nothing
+        q = np.array([[0.3, 0.1, 0.2], [0.0, 0.5, 0.1], [0.2, 0.2, 0.9], [0.4, 0.0, 0.0]])
+        mask = np.array([True, False, True, True])
+        for seed in range(20):
+            clone = np.random.default_rng(seed)
+            expected = []
+            for row, decides in zip(q, mask):
+                if not decides:
+                    expected.append(None)
+                elif clone.random() < 0.6:
+                    expected.append(int(clone.integers(3)))
+                else:
+                    expected.append(int(np.argmax(row)))
+            rng = np.random.default_rng(seed)
+            assert select_action(q, mask, 0.6, rng) == expected
+            assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_invalid_inputs_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            select_action(np.array([]), 0.0, rng)
+            select_action(np.zeros((1, 0)), np.array([True]), 0.0, rng)
         with pytest.raises(ValueError):
-            select_action(np.array([1.0]), 1.5, rng)
+            select_action(np.array([[1.0]]), np.array([True]), 1.5, rng)
+        with pytest.raises(ValueError):
+            select_action(np.array([0.2, 0.8]), np.array([True]), 0.0, rng)
+        with pytest.raises(ValueError):
+            select_action(np.array([[0.2, 0.8]]), np.array([True, True]), 0.0, rng)
 
 
 class TestDecayEpsilon:
@@ -257,6 +291,75 @@ class TestReplayPool:
             pool.push(np.zeros(1), 0, float(r), np.zeros(1), False)
         assert len(pool) == 5
         assert [r for _, _, r, _, _ in replay_pool_rows(pool)] == [7.0, 8.0, 9.0, 10.0, 11.0]
+
+    def test_sample_reads_only_written_rows(self):
+        # the ring starts as np.empty: poison every row not yet pushed, and
+        # the sampled rows must still be exactly the pushed ones that a
+        # clone of the rng picks, before and after the ring wraps
+        pool = ReplayPool(10, 3)
+        rng = np.random.default_rng(11)
+        pushes = 0
+        for target in (4, 7, 10, 13, 26):
+            while pushes < target:
+                pool.push(np.full(3, pushes), pushes % 2, float(pushes),
+                          np.full(3, -pushes), pushes % 3 == 0)
+                pushes += 1
+            size = len(pool)
+            for col in (pool._s, pool._r, pool._s2):
+                col[size:] = np.nan
+            pool._a[size:] = -1
+            rows = replay_pool_rows(pool)
+            start = pool._head if size == pool.capacity else 0
+            for batch_size in (1, 4):
+                clone = copy.deepcopy(rng)
+                idx = clone.integers(0, size, size=batch_size)
+                batch = pool.sample(batch_size, rng)
+                expected = [rows[(j - start) % pool.capacity] for j in idx]
+                np.testing.assert_array_equal(batch.s, [s for s, _, _, _, _ in expected])
+                assert batch.a.tolist() == [a for _, a, _, _, _ in expected]
+                assert batch.r.tolist() == [r for _, _, r, _, _ in expected]
+                np.testing.assert_array_equal(batch.s2, [s2 for _, _, _, s2, _ in expected])
+                assert batch.done.tolist() == [d for _, _, _, _, d in expected]
+                assert not np.isnan(batch.s).any() and not np.isnan(batch.r).any()
+
+    def test_next_sample_overwrites_the_batch(self):
+        pool = ReplayPool(8, 1)
+        for r in range(8):
+            pool.push(np.zeros(1), 0, float(r), np.zeros(1), False)
+        rng = np.random.default_rng(3)
+        first = pool.sample(4, rng)
+        kept = first.r.copy()
+        assert pool.sample(4, rng) is first
+        assert first.r.tolist() != kept.tolist()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/status"),
+                    reason="probes glibc's heap reuse through the Linux peak RSS")
+def test_repeated_training_keeps_peak_rss_flat():
+    # With freed heap always reused (no trim, no mmap), a ring from np.zeros
+    # (calloc) memsets the reused pages and makes the whole 8.8 MB ring
+    # resident on the second train call; np.empty leaves unpushed rows
+    # untouched. The child reads VmHWM, its own peak RSS: its ru_maxrss
+    # would start at the RSS of the process that forked it.
+    script = (
+        "from sensorq.agent import AgentHyperParams\n"
+        "from sensorq.env import EnvConfig\n"
+        "from sensorq.experiments import train_dqn\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return int(next(ln for ln in fh if ln.startswith('VmHWM:')).split()[1])\n"
+        "peaks = []\n"
+        "for seed in range(1, 5):\n"
+        "    train_dqn(EnvConfig(), AgentHyperParams(), 1, seed)\n"
+        "    peaks.append(peak_kb())\n"
+        "print(peaks[-1] - peaks[0])\n"
+    )
+    src = str(Path(sensorq.__file__).resolve().parents[1])
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="16777216", MALLOC_TRIM_THRESHOLD_="1000000000",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) < 2048, f"peak RSS grew {int(out.stdout)} KB after the first call"
 
 
 def toy_hypers(**overrides):

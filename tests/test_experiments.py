@@ -611,6 +611,7 @@ class TestCli:
             {"agent": {"replay_capacity": 10}},
             {"agent": {"replay_capacity": 0}},
             {"agent": {"hard_copy_every": 5}},
+            {"agent": {"replay_capacity": 100_000_000_000_000}},  # 7.11 PiB: malloc fails at once
             # each of these ended in a traceback or named no field
             {"env": {"ranges": {"temperature": [40, 10]}}},
             *({"env": {"mode": "replay", "replay": {"path": "trace.txt", "sensors": bad}}}
@@ -631,7 +632,7 @@ class TestCli:
              "ranges-missing-kind", "ranges-list", "ranges-triple",
              "ranges-list-replay", "unknown-weights-key", "unknown-section",
              "policy-bad-number", "fixed-period-fraction", "replay-capacity-below-batch",
-             "replay-capacity-0", "hard-copy-every-removed",
+             "replay-capacity-0", "hard-copy-every-removed", "capacity-huge",
              "ranges-inverted", "sensors-short-pair", "sensors-flat", "sensors-str", "sensors-object",
              "sensors-null", "hidden-int", "hidden-null", "triples-flat", "triples-int", "eta-grid-int"],
     )
@@ -646,7 +647,8 @@ class TestCli:
             assert "ranges" in err
         prefix = request.node.callspec.id.split("-")[0]
         field = {"sensors": "sensors", "hidden": "hidden", "triples": "weight_triples",
-                 "four": "weight_triples", "eta": "eta_grid"}.get(prefix)
+                 "four": "weight_triples", "eta": "eta_grid",
+                 "capacity": "replay_capacity"}.get(prefix)
         assert field is None or field in err, (field, err)
 
     def test_negative_seed_argument_is_one_line_exit_1(self, tmp_path, capsys):
