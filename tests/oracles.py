@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import calendar
 import math
+from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,6 +210,51 @@ def strptime_timestamp(date, time):
     except ValueError:
         return None
     return calendar.timegm(when.timetuple()) + when.microsecond / 1e6
+
+
+class SensorReading(NamedTuple):
+    """One parsed trace line, in the order of load_trace's columns."""
+
+    timestamp: float  # seconds since the Unix epoch (fractional), date and time read as UTC
+    epoch: int
+    mote: int
+    temperature: float
+    humidity: float
+    light: float
+    voltage: float
+
+
+@dataclass
+class ParseSkip:
+    """A line that does not parse, with its reason code."""
+
+    reason: str
+
+
+def parse_line(line):
+    """Map one trace line to a SensorReading or a ParseSkip, checking in
+    order: 8 fields ("wrong_field_count"); epoch and mote int(), channels
+    float() and finite, epoch and mote in int64 ("unparseable_value"); mote
+    >= 1 and epoch >= 0 ("plausibility"); date and time as strptime reads
+    them ("unparseable_value")."""
+    fields = line.split()
+    if len(fields) != 8:
+        return ParseSkip("wrong_field_count")
+    try:
+        epoch = int(fields[2])
+        mote = int(fields[3])
+        channels = [float(v) for v in fields[4:8]]
+    except ValueError:
+        return ParseSkip("unparseable_value")
+    fits = [-(2**63) <= n <= 2**63 - 1 for n in (epoch, mote)]
+    if not (all(math.isfinite(v) for v in channels) and all(fits)):
+        return ParseSkip("unparseable_value")
+    if mote < 1 or epoch < 0:
+        return ParseSkip("plausibility")
+    stamp = strptime_timestamp(fields[0], fields[1])
+    if stamp is None:
+        return ParseSkip("unparseable_value")
+    return SensorReading(stamp, epoch, mote, *channels)
 
 
 def key_tuple_trace(lines, delta_t, parse, plausible):

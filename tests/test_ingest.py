@@ -5,8 +5,10 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from datetime import date, datetime, timedelta
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,11 +16,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import sensorq
-from oracles import aligned_rows, key_tuple_trace, strptime_timestamp
+from oracles import ParseSkip, SensorReading, aligned_rows, key_tuple_trace, parse_line, strptime_timestamp
 from sensorq import ingest
 from sensorq.env import SAMPLE, EnvConfig, EpisodeInputs, ReplayConfig, SensorEnv
 from sensorq.errors import ConfigError
-from sensorq.ingest import ParseSkip, SensorReading, load_trace, parse_line
+from sensorq.ingest import load_trace
 from sensorq.signals import KINDS
 
 GOOD = "2004-03-01 00:58:46.002832 2 1 19.98 37.09 45.08 2.69"
@@ -43,14 +45,49 @@ def write_trace(tmp_path, lines, name="trace.txt"):
     return path
 
 
+_ONE_SLOT = 1e12  # seconds: every year 1 to 9999 in one slot, so no grid is refused
+
+
+def parse_lines(lines):
+    """load_trace on a file of these lines, line by line in the oracle's
+    types: a SensorReading from the columns _parse_block hands load_trace,
+    or the ParseSkip of the line's status. Also the report, None where no
+    reading survives."""
+    blocks = []
+    original = ingest._parse_block
+
+    def capture(block):
+        blocks.append(original(block))
+        return blocks[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, patch.object(ingest, "_parse_block", capture):
+        try:
+            report = load_trace(write_trace(Path(tmp), lines), delta_t=_ONE_SLOT)[1]
+        except ConfigError as e:
+            assert "no usable readings" in str(e)
+            report = None
+    status = np.concatenate([s for s, _ in blocks]).tolist()
+    rows = zip(*(np.concatenate(column).tolist() for column in zip(*(c for _, c in blocks))))
+    results = [SensorReading(*next(rows)) if s == ingest.PARSED else ParseSkip(ingest.REASONS[s - 1])
+               for s in status]
+    return results, report
+
+
+def parse_one(line):
+    """The first line's result of load_trace on a one-line file."""
+    return parse_lines([line])[0][0]
+
+
 def row(trace, mote, kind):
     """One (mote, channel) row of a trace's values."""
     return trace.values[trace.motes.index(mote), KINDS.index(kind)]
 
 
 class TestParseLine:
+    """Single lines through load_trace, read back from the parsed columns."""
+
     def test_well_formed_line_maps_positionally(self):
-        r = parse_line(GOOD)
+        r = parse_one(GOOD)
         assert isinstance(r, SensorReading)
         assert (r.epoch, r.mote) == (2, 1)
         assert (r.temperature, r.humidity, r.light, r.voltage) == (19.98, 37.09, 45.08, 2.69)
@@ -68,7 +105,7 @@ class TestParseLine:
         ],
     )
     def test_epoch_and_mote_must_fit_int64(self, epoch, mote, kept):
-        r = parse_line(f"2004-03-01 00:58:46.0 {epoch} {mote} 19.9 37.0 45.0 2.69")
+        r = parse_one(f"2004-03-01 00:58:46.0 {epoch} {mote} 19.9 37.0 45.0 2.69")
         if kept:
             assert isinstance(r, SensorReading) and (r.epoch, r.mote) == (epoch, mote)
         else:
@@ -76,32 +113,32 @@ class TestParseLine:
             assert r.reason == (ingest.R_NUMBER if kept is False else ingest.R_RANGE)
 
     def test_empty_line_skips_on_field_count(self):
-        r = parse_line("")
+        r = parse_one("")
         assert isinstance(r, ParseSkip) and r.reason == ingest.R_FIELDS
 
     def test_nan_channel_skips_on_number(self):
-        r = parse_line("2004-03-01 00:58:46.0 2 1 NaN 37.0 45.0 2.69")
+        r = parse_one("2004-03-01 00:58:46.0 2 1 NaN 37.0 45.0 2.69")
         assert isinstance(r, ParseSkip) and r.reason == ingest.R_NUMBER
 
     def test_garbage_number_skips(self):
-        r = parse_line("2004-03-01 00:58:46.0 2 1 x 37.0 45.0 2.69")
+        r = parse_one("2004-03-01 00:58:46.0 2 1 x 37.0 45.0 2.69")
         assert isinstance(r, ParseSkip) and r.reason == ingest.R_NUMBER
 
     def test_bad_mote_id_skips(self):
-        r = parse_line("2004-03-01 00:58:46.0 2 0 19.9 37.0 45.0 2.69")
+        r = parse_one("2004-03-01 00:58:46.0 2 0 19.9 37.0 45.0 2.69")
         assert isinstance(r, ParseSkip) and r.reason == ingest.R_RANGE
 
     def test_timestamp_without_fraction(self):
-        r = parse_line("2004-03-01 10:00:00 5 3 20.0 40.0 100.0 2.7")
+        r = parse_one("2004-03-01 10:00:00 5 3 20.0 40.0 100.0 2.7")
         assert isinstance(r, SensorReading)
         assert r.timestamp == 1078135200.0  # 2004-03-01T10:00:00Z
 
     def test_timestamp_with_fraction_is_utc(self, local_tz):
         local_tz("America/New_York")
-        assert parse_line(GOOD).timestamp == 1078102726 + 0.002832
+        assert parse_one(GOOD).timestamp == 1078102726 + 0.002832
 
     def test_bad_clock_skips_on_number(self):
-        r = parse_line("2004-03-01 25:61:00.0 2 1 19.9 37.0 45.0 2.69")
+        r = parse_one("2004-03-01 25:61:00.0 2 1 19.9 37.0 45.0 2.69")
         assert isinstance(r, ParseSkip) and r.reason == ingest.R_NUMBER
 
     @pytest.mark.parametrize(
@@ -128,7 +165,7 @@ class TestParseLine:
         ],
     )
     def test_timestamp_edges_match_strptime(self, date, time):
-        r = parse_line(f"{date} {time} 2 1 19.9 37.0 45.0 2.69")
+        r = parse_one(f"{date} {time} 2 1 19.9 37.0 45.0 2.69")
         expected = strptime_timestamp(date, time)
         if expected is None:
             assert isinstance(r, ParseSkip) and r.reason == ingest.R_NUMBER
@@ -148,7 +185,7 @@ class TestParseLine:
         ),
     )
     def test_timestamp_matches_strptime_or_both_skip(self, date, time):
-        r = parse_line(f"{date} {time} 2 1 19.9 37.0 45.0 2.69")
+        r = parse_one(f"{date} {time} 2 1 19.9 37.0 45.0 2.69")
         if [date, time] != f"{date} {time}".split():  # whitespace changes the field count
             assert isinstance(r, ParseSkip)
             return
@@ -164,13 +201,118 @@ class TestParseLine:
         days = [date(1999, 12, 31) + timedelta(days=k) for k in range(ingest.DATE_CACHE + 100)]
         for day in [*days, days[0]]:
             text = f"{day.year}-{day.month}-{day.day:02d}"
-            r = parse_line(f"{text} 12:00:59.5 2 1 19.9 37.0 45.0 2.69")
+            r = parse_one(f"{text} 12:00:59.5 2 1 19.9 37.0 45.0 2.69")
             assert r.timestamp == strptime_timestamp(text, "12:00:59.5")
         assert ingest._day_seconds.cache_info().currsize <= ingest.DATE_CACHE
 
     @given(st.text())
     def test_never_raises(self, line):
-        assert isinstance(parse_line(line), (SensorReading, ParseSkip))
+        assert isinstance(parse_one(line), (SensorReading, ParseSkip))
+
+
+# fields that reach every branch of the block parser: clocks read from code
+# points and through _CLOCK, numbers that map() reads and ones it raises on
+_CLOCK_FIELD = st.one_of(
+    st.builds(  # two-digit fields up to 69, mostly the right separators, 0-7 fraction digits
+        "{}{}{}{}{}{}".format, *[st.integers(0, 69).map("{:02d}".format), st.sampled_from("::::::-;.")] * 2,
+        st.integers(0, 69).map("{:02d}".format),
+        st.one_of(st.just(""), st.builds("{}{}".format, st.sampled_from("....:-,"),
+                                         st.from_regex(r"[0-9]{0,7}", fullmatch=True)))),
+    st.from_regex(r"[0-9]{1,2}:[0-9]{1,2}:[0-9]{1,2}(\.[0-9]{0,6})?", fullmatch=True),  # 1 digit, "12:00:00."
+    st.from_regex(r"\d{1,2}:\d{1,2}:\d{1,2}(\.\d{1,6})?", fullmatch=True),  # Unicode digits
+    st.sampled_from(["12:00:0\uff15", "\u0661\u0662:00:00", "12:00:00.\uff15", "12:00", "12:00:00:00",
+                     "+1:00:00", "1_2:00:00", "12:00:00.5x", "12\x00:00:00"]),
+)
+_INT_FIELD = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from([str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), str(10**30),
+                     "1_0", "\u0661\u0662", "+7", "0x10", "1.0", "x"]),
+)
+_FLOAT_FIELD = st.one_of(
+    st.sampled_from(["20", "21.5", "-0", "0.0", "1e2", "3.5", "200000", "-10", "nan", "NaN", "inf",
+                     "-Infinity", "1e999", "1_0.5", "\u0662\u0660.\u0665", "x", "1__0"]),
+    st.floats().map(repr),
+)
+_FIELDS = st.tuples(
+    st.sampled_from(["2004-03-01", "2004-3-1", "2004-02-29", "2004-02-30", "\uff12\uff10\uff10\uff14-03-01",
+                     "1969-12-31", "9999-12-31", "0001-01-01", "2004-03-01T00"]),
+    _CLOCK_FIELD, _INT_FIELD, _INT_FIELD, _FLOAT_FIELD, _FLOAT_FIELD, _FLOAT_FIELD, _FLOAT_FIELD,
+)
+_MIXED_LINE = st.one_of(
+    _FIELDS.map(" ".join),
+    _CLOCK_FIELD.map("2004-03-01 {} 1 1 20 40 100 2.7".format),  # only the clock can fail
+    st.tuples(_FIELDS, st.integers(0, 7)).map(lambda f: " ".join(f[0][: f[1]])),  # too few fields
+    _FIELDS.map(lambda f: "\t".join(f + ("2.7",))),  # too many
+)
+
+
+class TestBlockParse:
+    """load_trace parses a block of lines column by column; the per-line
+    oracle parse_line is the reference for each line."""
+
+    @given(lines=st.lists(_MIXED_LINE, min_size=1, max_size=40), block=st.sampled_from([1, 2, 3, 7, 16]))
+    @example(
+        lines=[
+            "2004-03-01 1:2:3 1 1 20 40 100 2.7",  # 1-digit hour, minute and second
+            "2004-03-01 01:02:03 2 1 20 40 100 2.7",  # no fraction
+            "2004-03-01 01:02:03.5 3 1 20 40 100 2.7",  # 1 to 5 fraction digits
+            "2004-03-01 01:02:03.25 4 1 20 40 100 2.7",
+            "2004-03-01 01:02:03.125 5 1 20 40 100 2.7",
+            "2004-03-01 01:02:03.0625 6 1 20 40 100 2.7",
+            "2004-03-01 01:02:03.03125 7 1 20 40 100 2.7",
+            "2004-03-01 01:02:0\uff13.5 8 1 20 40 100 2.7",  # Unicode digits in the clock
+            "2004-03-01 01:02:03 \u0669 1_0 \u0662\u0660.5 40 100 2.7",  # ...in numbers, and 1_0
+            f"2004-03-01 01:02:03 {2**63} 1 20 40 100 2.7",  # int64 overflow of epoch and mote
+            f"2004-03-01 01:02:03 1 {2**63} 20 40 100 2.7",
+            f"2004-03-01 01:02:03 {2**63 - 1} {2**63 - 1} 20 40 100 2.7",
+            "2004-03-01 01:02:03 1 1 nan 40 100 2.7",  # non-finite channels
+            "2004-03-01 01:02:03 1 1 20 inf 100 2.7",
+            "2004-03-01 01:02:03 1 1 20 40 100",  # wrong field counts
+            "2004-03-01 01:02:03 1 1 20 40 100 2.7 2.7",
+            "2004-03-01 24:02:03 1 0 20 40 100 2.7",  # range is checked before the clock
+        ],
+        block=3,
+    )
+    def test_agrees_with_parse_line_line_for_line(self, lines, block):
+        with patch.object(ingest, "_BLOCK", block):  # blocks of a few lines: every list straddles some
+            got, report = parse_lines(lines)
+        want = [parse_line(line) for line in lines]
+        assert list(map(repr, got)) == list(map(repr, want))  # repr: -0.0 differs from 0.0
+        _, total, kept, skipped = key_tuple_trace(lines, _ONE_SLOT, parse_line, ingest.PLAUSIBLE)
+        if report is None:
+            assert kept == 0
+        else:
+            assert (report.total, report.kept, report.skipped) == (total, kept, skipped)
+
+    def test_clock_code_points_match_the_oracle(self):
+        """Each clock width from 7 to 16 characters, and every change of one
+        character in it, read from one file."""
+        clocks = set()
+        for full in ("23:59:59.999999", "00:00:00.000000", "19:45:30.1234560"):
+            for width in range(7, 17):
+                base = full[:width]
+                clocks.update(base[:k] + c + base[k + 1:] for k in range(width) for c in "0259:.-;a\uff15\x00")
+        lines = [f"2004-03-01 {clock} 1 1 20 40 100 2.7" for clock in sorted(clocks)]
+        got, _ = parse_lines(lines)
+        assert list(map(repr, got)) == list(map(repr, map(parse_line, lines)))
+
+    def test_long_clock_field_does_not_size_the_block(self):
+        """A 10 kB clock field in a full block skips as the oracle says, and
+        the block's parse stays far below the 40 MB that code points sized by
+        that field would take."""
+        lines = [f"2004-03-01 00:{k // 60 % 60:02d}:{k % 60:02d}.{k:06d} {k} 1 20 40 100 2.7"
+                 for k in range(ingest._BLOCK)]
+        lines[len(lines) // 2] = f"2004-03-01 12:00:00.{'1' * 10_000} 1 1 20 40 100 2.7"
+        tracemalloc.start()
+        try:
+            status, _ = ingest._parse_block(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"block parse peaked at {peak / 1e6:.1f} MB"
+        assert status.tolist().count(ingest.SKIPPED[ingest.R_NUMBER]) == 1
+        got, _ = parse_lines(lines)
+        assert list(map(repr, got)) == list(map(repr, map(parse_line, lines)))
 
 
 class TestLoadTrace:
@@ -259,6 +401,19 @@ class TestLoadTrace:
         path.write_text("\n")
         with pytest.raises(ConfigError):
             load_trace(path)
+
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        # the first line is the earliest reading: it fixes the grid origin
+        lines = ["2004-03-01 00:00:00 0 1 20.0 40.0 100.0 2.7", "2004-03-01 00:01:30 1 1 21.0 40.0 100.0 2.7"]
+        plain = write_trace(tmp_path, lines, "plain.txt")
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (want, want_report), (got, report) = load_trace(plain), load_trace(marked)
+        assert (report.total, report.kept, report.skipped) == (want_report.total, want_report.kept, {}) == (2, 2, {})
+        assert got.motes == want.motes
+        for name in ("present", "values", "low", "high"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.present.shape == (1, 2)
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -393,8 +548,8 @@ class TestGridMatchesKeyTupleOracle:
         lines = data.draw(st.permutations(good + duplicates + relit + bad))
         with tempfile.TemporaryDirectory() as tmp:
             assert_matches_key_tuple_oracle(write_trace(Path(tmp), lines), lines, delta_t)
-        for line in good:  # each line's cached date gives strptime's stamp
-            assert parse_line(line).timestamp == strptime_timestamp(*line.split()[:2])
+        for line, r in zip(good, parse_lines(good)[0]):  # each line's cached date gives strptime's stamp
+            assert r.timestamp == strptime_timestamp(*line.split()[:2])
 
 
 @given(lines=st.lists(_LINE, min_size=1, max_size=30), delta_t=st.sampled_from([0.25, 1.0, 30.0, 60.0]))
