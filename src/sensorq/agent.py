@@ -18,7 +18,8 @@ marks horizon cut-offs that should still bootstrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,13 +30,17 @@ from .metrics import fmt, write_csv
 
 @dataclass
 class Batch:
-    """Column-major view of sampled transitions."""
+    """Column-major view of sampled transitions, with `rows` = arange(n)."""
 
     s: np.ndarray  # (n, obs_dim)
     a: np.ndarray  # (n,) int
     r: np.ndarray  # (n,)
     s2: np.ndarray  # (n, obs_dim)
     done: np.ndarray  # (n,) bool
+    rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.rows = np.arange(len(self.a))
 
     def __len__(self) -> int:
         return len(self.a)
@@ -62,7 +67,7 @@ class ReplayPool:
             self._r = np.empty(capacity)
             self._s2 = np.empty((capacity, obs_dim))
             self._done = np.empty(capacity, dtype=bool)
-        except MemoryError:
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
             raise ConfigError(f"replay_capacity {capacity} does not fit in memory") from None
         self._head = 0
         self._size = 0
@@ -117,7 +122,7 @@ def td_loss(
     y = batch.r + gamma * q_next.max(axis=1) * ~batch.done
     acts, zs = nn.forward_cached(online, batch.s)
     q_all = acts[-1]
-    rows = np.arange(n)
+    rows = batch.rows
     residual = q_all[rows, batch.a] - y
     loss = float((residual**2).sum() / n)  # np.mean's sum and divide, without its wrapper
     grad_out = np.zeros(q_all.shape)
@@ -126,21 +131,34 @@ def td_loss(
 
 
 def select_action(
-    q: np.ndarray, mask: np.ndarray, epsilon: float, rng: np.random.Generator
+    q: Callable[[], np.ndarray], mask: np.ndarray, epsilon: float, num_actions: int,
+    rng: np.random.Generator,
 ) -> list[int | None]:
-    """Epsilon-greedy actions from a (sensors, actions) Q matrix: None for
-    each sensor where mask is False; for the others, in sensor order, a
-    uniform action with prob eps, else the argmax of its row (ties -> lowest
-    index). Each deciding sensor draws rng.random() when eps > 0, and
-    rng.integers(actions) only when it explores."""
-    if q.ndim != 2 or q.shape[1] == 0 or np.shape(mask) != (len(q),) or not 0 <= epsilon <= 1:
-        raise ValueError("need a non-empty (sensors, actions) q, a mask per row, eps in [0, 1]")
-    actions = q.argmax(axis=1).tolist()
+    """Epsilon-greedy actions: None for each sensor where mask is False;
+    for the others, in sensor order, a uniform action with prob eps, else
+    the argmax of its row of the (sensors, num_actions) Q matrix that q()
+    returns (ties -> lowest index).
+
+    Each deciding sensor draws rng.random() when eps > 0, and
+    rng.integers(num_actions) only when it explores; no draw reads Q. q()
+    runs after every draw, once, and only if some deciding sensor exploits,
+    so a step where every sensor explores computes no Q at all."""
+    if not (num_actions >= 1 and np.ndim(mask) == 1 and 0 <= epsilon <= 1):
+        raise ValueError("need num_actions >= 1, a 1-d mask and eps in [0, 1]")
+    actions: list[int | None] = [None] * len(mask)
+    greedy = []
     for i, decides in enumerate(mask.tolist()):
-        if not decides:
-            actions[i] = None
-        elif epsilon > 0.0 and rng.random() < epsilon:
-            actions[i] = int(rng.integers(q.shape[1]))
+        if decides and epsilon > 0.0 and rng.random() < epsilon:
+            actions[i] = int(rng.integers(num_actions))
+        elif decides:
+            greedy.append(i)
+    if greedy:
+        values = q()
+        if np.shape(values) != (len(mask), num_actions):
+            raise ValueError(f"q() shape {np.shape(values)}, need ({len(mask)}, {num_actions})")
+        best = values.argmax(axis=1).tolist()
+        for i in greedy:
+            actions[i] = best[i]
     return actions
 
 
@@ -201,29 +219,35 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
     Per decision the pending (s, a) is closed against the next observation
     the same sensor gets to act on, with rewards accrued in between; in
     binary mode that reduces to ordinary one-step transitions. Each
-    sensor's open decision lives in row i of pend_s/pend_a/pend_r.
+    sensor's open decision lives at index i of the lists pend_s (a row of
+    the observation it was taken on: env.step builds a fresh matrix each
+    epoch and nothing writes to it), pend_a, pend_r and pending.
+
+    Each epoch the deciding sensors draw first (see select_action); the
+    online network's forward over all sensors runs only if one exploits.
 
     The online network is updated in place. A non-finite gradient raises
     TrainingDiverged naming the seed, the episode and the train step;
-    overflow on the way there is not warned about separately.
+    overflow on the way there is not warned about separately. A network
+    too large to allocate is a ConfigError naming `hidden`.
     """
     hypers.validate()
     master = np.random.SeedSequence(seed)
     init_ss, action_ss, replay_ss = master.spawn(3)
     sizes = [env.obs_dim, *hypers.hidden, env.num_actions]
-    online = nn.init_network(sizes, np.random.default_rng(init_ss))
-    target = online.copy()
-    opt = nn.adam_init(online, step_size=hypers.lr)
-    grads = online.copy()  # every train step overwrites it
+    try:
+        online = nn.init_network(sizes, np.random.default_rng(init_ss))
+        target = online.copy()
+        opt = nn.adam_init(online, step_size=hypers.lr)
+        grads = online.copy()  # every train step overwrites it
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
+        raise ConfigError(f"hidden {list(hypers.hidden)} does not fit in memory") from None
     pool = ReplayPool(hypers.replay_capacity, env.obs_dim)
     action_rng = np.random.default_rng(action_ss)
     replay_rng = np.random.default_rng(replay_ss)
 
-    n = env.num_sensors
-    pend_s = np.zeros((n, env.obs_dim))
-    pend_a = np.zeros(n, dtype=np.int64)
-    pend_r = np.zeros(n)
-    pending = np.zeros(n, dtype=bool)
+    n, num_actions = env.num_sensors, env.num_actions
+    pend_s, pend_a, pend_r, pending = [None] * n, [0] * n, [0.0] * n, [False] * n
 
     epsilon = hypers.eps_start
     curve = []
@@ -234,22 +258,26 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
         losses = []
         done = False
         while not done:
-            mask = env.decision_mask
-            actions = select_action(nn.forward_batch(online, obs), mask, epsilon, action_rng)
-            for i in np.flatnonzero(mask).tolist():
+            actions = select_action(lambda: nn.forward_batch(online, obs), env.decision_mask,
+                                    epsilon, num_actions, action_rng)
+            for i, action in enumerate(actions):
+                if action is None:
+                    continue
                 if pending[i]:
                     pool.push(pend_s[i], pend_a[i], pend_r[i], obs[i], False)
-                pend_s[i], pend_a[i], pend_r[i], pending[i] = obs[i], actions[i], 0.0, True
+                pend_s[i], pend_a[i], pend_r[i], pending[i] = obs[i], action, 0.0, True
             rewards, obs2, done, truncated = env.step(actions)
-            # sensor by sensor, left to right: a pairwise sum would move bits
-            for value in rewards.tolist():
+            # sensor by sensor, left to right: a pairwise sum would move bits;
+            # rows with no open decision are reset when one opens
+            for i, value in enumerate(rewards.tolist()):
                 ep_return += value
-            pend_r += rewards  # rows with no open decision are reset when one opens
+                pend_r[i] += value
             if done or truncated:
                 terminal = done and not truncated
-                for i in np.flatnonzero(pending):
-                    pool.push(pend_s[i], pend_a[i], pend_r[i], obs2[i], terminal)
-                pending[:] = False  # the episode ends here: none stays open
+                for i in range(n):
+                    if pending[i]:
+                        pool.push(pend_s[i], pend_a[i], pend_r[i], obs2[i], terminal)
+                pending = [False] * n  # the episode ends here: none stays open
             obs = obs2
 
             if len(pool) >= max(hypers.warmup, hypers.batch_size):

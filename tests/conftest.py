@@ -1,7 +1,7 @@
 """Hypothesis profiles: every property test draws the same examples on every
 run and on every machine. "sensorq" is the default; "sensorq-deep" draws ten
 times as many (`pytest --hypothesis-profile=sensorq-deep tests/test_ingest.py
-tests/test_metrics.py`)."""
+tests/test_metrics.py tests/test_agent.py`)."""
 
 from hypothesis import settings
 

@@ -201,6 +201,23 @@ def replay_pool_rows(pool):
     return rows
 
 
+def eager_select_action(q, mask, epsilon, rng):
+    """Epsilon-greedy actions from a (sensors, actions) Q matrix computed
+    up front: None for each sensor where mask is False; for the others, in
+    sensor order, a uniform action with prob eps, else the argmax of its
+    row (ties -> lowest index). Each deciding sensor draws rng.random()
+    when eps > 0, and rng.integers(actions) only when it explores."""
+    if q.ndim != 2 or q.shape[1] == 0 or np.shape(mask) != (len(q),) or not 0 <= epsilon <= 1:
+        raise ValueError("need a non-empty (sensors, actions) q, a mask per row, eps in [0, 1]")
+    actions = q.argmax(axis=1).tolist()
+    for i, decides in enumerate(mask.tolist()):
+        if not decides:
+            actions[i] = None
+        elif epsilon > 0.0 and rng.random() < epsilon:
+            actions[i] = int(rng.integers(q.shape[1]))
+    return actions
+
+
 def strptime_timestamp(date, time):
     """UTC seconds of a trace line's date and time fields through
     datetime.strptime, or None where strptime rejects them."""

@@ -147,7 +147,7 @@ def test_04_epsilon_greedy_statistics():
 
         rng = np.random.default_rng(314159)
         q = np.tile([0.25, 0.75], (100_000, 1))  # one deciding sensor per row
-        hits = select_action(q, np.ones(100_000, dtype=bool), 0.2, rng).count(1)
+        hits = select_action(lambda: q, np.ones(100_000, dtype=bool), 0.2, 2, rng).count(1)
         freq = hits / 100_000
         assert abs(freq - 0.900) < 0.01, f"greedy frequency {freq:.4f}"
 

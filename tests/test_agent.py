@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sensorq
 from sensorq import nn
@@ -21,7 +23,7 @@ from sensorq.agent import (
     train,
 )
 
-from oracles import fd_gradient, naive_bellman, naive_td_loss, replay_pool_rows
+from oracles import eager_select_action, fd_gradient, naive_bellman, naive_td_loss, replay_pool_rows
 from toy_mdp import GAMMA, OPTIMAL, Q_STAR, ToyMdpEnv
 
 
@@ -177,10 +179,22 @@ class TestTdLoss:
             td_loss(empty, online, online.copy(), 0.9)
 
 
+def decide(q, mask, epsilon, rng):
+    """select_action over a fixed Q matrix, returning (actions, how many
+    times Q was computed)."""
+    calls = []
+
+    def q_fn():
+        calls.append(1)
+        return q
+
+    return select_action(q_fn, mask, epsilon, q.shape[1], rng), len(calls)
+
+
 def decide_all(rows, epsilon, rng):
     """select_action with every sensor deciding, for a Q matrix of `rows`."""
     q = np.array(rows, dtype=float)
-    return select_action(q, np.ones(len(q), dtype=bool), epsilon, rng)
+    return decide(q, np.ones(len(q), dtype=bool), epsilon, rng)[0]
 
 
 class TestSelectAction:
@@ -222,19 +236,60 @@ class TestSelectAction:
                 else:
                     expected.append(int(np.argmax(row)))
             rng = np.random.default_rng(seed)
-            assert select_action(q, mask, 0.6, rng) == expected
+            assert decide(q, mask, 0.6, rng)[0] == expected
             assert rng.bit_generator.state == clone.bit_generator.state
+
+    def test_no_q_when_every_sensor_explores_or_none_decides(self):
+        rng = np.random.default_rng(0)
+        q = np.zeros((3, 2))
+        assert decide(q, np.ones(3, dtype=bool), 1.0, rng)[1] == 0
+        assert decide(q, np.zeros(3, dtype=bool), 0.0, rng) == ([None] * 3, 0)
+        assert decide(q, np.ones(3, dtype=bool), 0.0, rng) == ([0, 0, 0], 1)
 
     def test_invalid_inputs_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            select_action(np.zeros((1, 0)), np.array([True]), 0.0, rng)
+            decide(np.zeros((1, 0)), np.array([True]), 0.0, rng)
         with pytest.raises(ValueError):
-            select_action(np.array([[1.0]]), np.array([True]), 1.5, rng)
+            decide(np.array([[1.0]]), np.array([True]), 1.5, rng)
+        with pytest.raises(ValueError):  # q() must give one row per sensor
+            select_action(lambda: np.array([0.2, 0.8]), np.array([True]), 0.0, 2, rng)
         with pytest.raises(ValueError):
-            select_action(np.array([0.2, 0.8]), np.array([True]), 0.0, rng)
+            decide(np.array([[0.2, 0.8]]), np.array([True, True]), 0.0, rng)
         with pytest.raises(ValueError):
-            select_action(np.array([[0.2, 0.8]]), np.array([True, True]), 0.0, rng)
+            decide(np.array([[0.2, 0.8]]), np.array([[True]]), 0.0, rng)
+
+
+@st.composite
+def selection_cases(draw):
+    """(q, mask, epsilon, seed): 1-6 sensors, 1-4 actions, Q values from a
+    small grid so rows hold ties, any mask, and eps 0, 1 or in (0, 1)."""
+    sensors, actions = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = st.sampled_from([-1.0, 0.0, 0.25, 0.5])
+    q = np.array(draw(st.lists(st.lists(values, min_size=actions, max_size=actions),
+                               min_size=sensors, max_size=sensors)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=sensors, max_size=sensors)))
+    epsilon = draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    return q, mask, epsilon, draw(st.integers(0, 2**32 - 1))
+
+
+@given(selection_cases())
+def test_select_action_matches_eager_oracle(case):
+    q, mask, epsilon, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    actions, q_calls = decide(q, mask, epsilon, rng)
+    assert actions == eager_select_action(q, mask, epsilon, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # replay the coins: Q is needed exactly when a deciding sensor exploits
+    coins = np.random.default_rng(seed)
+    exploits = False
+    for decides in mask.tolist():
+        if decides and epsilon > 0.0 and coins.random() < epsilon:
+            coins.integers(q.shape[1])
+        elif decides:
+            exploits = True
+    assert q_calls == int(exploits)
 
 
 class TestDecayEpsilon:
@@ -411,6 +466,39 @@ class TestTrain:
         assert len(result.curve) == 4
         # returns accrue all epochs, including dormant idle penalties
         assert all(np.isfinite(row[1]) for row in result.curve)
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.0], ids=["explore", "exploit"])
+    def test_q_forward_only_when_a_sensor_exploits(self, monkeypatch, epsilon):
+        # eps = 1: every sensor explores, so the only forwards are td_loss's
+        # batch_size-row target passes; eps = 0: one num_sensors-row forward
+        # per epoch. Either way the run equals one through the eager oracle.
+        import sensorq.agent as agent_mod
+        from sensorq.env import EnvConfig, SensorEnv
+
+        cfg = EnvConfig(sensors=["temperature", "humidity", "voltage"], epochs=12)
+        hp = toy_hypers(eps_start=epsilon, eps_min=epsilon, batch_size=8, warmup=8, hidden=(8,))
+        rows = []
+        forward = nn.forward_batch
+
+        def counting_forward(params, x):
+            rows.append(len(x))
+            return forward(params, x)
+
+        monkeypatch.setattr(nn, "forward_batch", counting_forward)
+        lazy = agent_mod.train(SensorEnv(cfg), hp, 3, seed=4)
+        train_steps = 3 * 12 - 3  # training starts at the 4th epoch, when the pool first holds 8
+        if epsilon == 1.0:
+            assert rows == [8] * train_steps
+        else:
+            assert sorted(rows) == [3] * (3 * 12) + [8] * train_steps
+
+        def eager(q, mask, eps, num_actions, rng):
+            return eager_select_action(q(), mask, eps, rng)
+
+        monkeypatch.setattr(agent_mod, "select_action", eager)
+        oracle = agent_mod.train(SensorEnv(cfg), hp, 3, seed=4)
+        assert lazy.curve == oracle.curve
+        assert lazy.params.flat.tobytes() == oracle.params.flat.tobytes()
 
     def test_interval_transitions_accumulate_sleep_rewards(self, monkeypatch):
         # every epoch's reward lands in exactly one pending transition, so

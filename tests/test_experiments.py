@@ -612,6 +612,9 @@ class TestCli:
             {"agent": {"replay_capacity": 0}},
             {"agent": {"hard_copy_every": 5}},
             {"agent": {"replay_capacity": 100_000_000_000_000}},  # 7.11 PiB: malloc fails at once
+            {"agent": {"hidden": [100_000_000_000]}},  # 8 TB of first-layer weights: malloc fails at once
+            {"agent": {"replay_capacity": 10**19}},  # past int64: numpy refuses the shape
+            {"agent": {"hidden": [10**19]}},
             # each of these ended in a traceback or named no field
             {"env": {"ranges": {"temperature": [40, 10]}}},
             *({"env": {"mode": "replay", "replay": {"path": "trace.txt", "sensors": bad}}}
@@ -632,7 +635,8 @@ class TestCli:
              "ranges-missing-kind", "ranges-list", "ranges-triple",
              "ranges-list-replay", "unknown-weights-key", "unknown-section",
              "policy-bad-number", "fixed-period-fraction", "replay-capacity-below-batch",
-             "replay-capacity-0", "hard-copy-every-removed", "capacity-huge",
+             "replay-capacity-0", "hard-copy-every-removed", "capacity-huge", "hidden-huge",
+             "capacity-past-int64", "hidden-past-int64",
              "ranges-inverted", "sensors-short-pair", "sensors-flat", "sensors-str", "sensors-object",
              "sensors-null", "hidden-int", "hidden-null", "triples-flat", "triples-int", "eta-grid-int"],
     )
