@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, TrainingDiverged, dataclass_kwargs, is_int, is_real, require
+from .errors import ConfigError, TrainingDiverged, is_int, is_real, require
 from .metrics import fmt, write_csv
 
 
@@ -195,15 +195,6 @@ class AgentHyperParams:
                 "warmup and train_per_step must be integers >= 0")
         require(isinstance(self.hidden, (list, tuple)) and all(is_int(n, 1) for n in self.hidden),
                 "hidden must be a list of integers >= 1")
-
-
-def hypers_from_dict(raw: dict) -> AgentHyperParams:
-    """Build and validate hyperparameters from the `agent` config section,
-    whose one list, `hidden`, becomes a tuple."""
-    raw = dataclass_kwargs(raw, AgentHyperParams, "agent")
-    hp = AgentHyperParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
-    hp.validate()
-    return hp
 
 
 @dataclass

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .errors import as_float, dataclass_kwargs, is_int, is_real, require
+from .errors import ConfigError, from_json, is_int, is_real, require
 from .signals import (
     CHANNEL_RANGE,
     KIND_INDEX,
@@ -108,7 +108,7 @@ class ReplayConfig:
     when at least min_presence (in [0, 1]) of its slots hold a reading.
     """
 
-    sensors: list[tuple[int, str]]
+    sensors: list[tuple[int, str]] = field(default_factory=list)
     path: str | None = None
     delta_t: float = 60.0
     min_presence: float = 0.5
@@ -160,9 +160,11 @@ class EnvConfig:
             require(isinstance(k, str) and k in KIND_INDEX, f"unknown channel kind {k!r}")
         ranges = self.ranges  # read in synthetic mode only, but checked in both
         require(isinstance(ranges, dict)
-                and all(_is_pair(r) and all(map(is_real, r)) and r[0] <= r[1] for r in ranges.values())
+                and all(_is_pair(r) and all(map(is_real, r)) and is_real(r[1] - r[0], 0.0)
+                        for r in ranges.values())
                 and (self.mode == "replay" or all(k in ranges for k in kinds)),
-                "ranges need a [low, high] pair of numbers, low <= high, for every sensor kind")
+                "ranges need a [low, high] pair of numbers, low <= high and high - low finite, "
+                "for every sensor kind")
         require(is_int(self.epochs, 2), "epochs must be an integer >= 2")
         costs = self.sample_costs
         require(is_real(self.idle_cost, 0.0) and isinstance(costs, dict)
@@ -196,28 +198,9 @@ class EnvConfig:
 
 
 def config_from_dict(raw: dict) -> EnvConfig:
-    """Build and validate an EnvConfig from the documented JSON schema (env
-    section).
-
-    Malformed nested values raise TypeError or ValueError, which
-    experiments.spec_from_file turns into a ConfigError."""
-    kw = dataclass_kwargs(raw, EnvConfig, "env")
-    if "weights" in kw:
-        kw["weights"] = RewardWeights(**dataclass_kwargs(kw["weights"], RewardWeights, "env.weights"))
-    if "signal" in kw:
-        kw["signal"] = SignalParams(**dataclass_kwargs(kw["signal"], SignalParams, "env.signal"))
-    if isinstance(kw.get("sample_costs"), dict):  # anything else fails validate, by name
-        kw["sample_costs"] = {k: as_float(v) for k, v in kw["sample_costs"].items()}
-    ranges = kw.get("ranges")
-    if isinstance(ranges, dict) and all(map(_is_pair, ranges.values())):  # else validate names it
-        kw["ranges"] = {k: (as_float(lo), as_float(hi)) for k, (lo, hi) in ranges.items()}
-    if kw.get("replay") is not None:  # null, like no replay key, means none
-        r = dataclass_kwargs(kw["replay"], ReplayConfig, "env.replay")
-        sensors = r.get("sensors", [])
-        if isinstance(sensors, list) and all(map(_is_pair, sensors)):  # else validate names it
-            sensors = [tuple(s) for s in sensors]
-        kw["replay"] = ReplayConfig(**dict(r, sensors=sensors))
-    cfg = EnvConfig(**kw)
+    """Read (errors.from_json) and validate an EnvConfig from the env
+    section of the documented JSON schema."""
+    cfg = from_json(EnvConfig, raw, "env")
     cfg.validate()
     return cfg
 
@@ -247,8 +230,11 @@ class EpisodeInputs:
         config.validate()
         self.config = config
         self.key = _inputs_key(config)
-        phases = [2.0 * np.pi * e / config.signal.period for e in range(config.epochs + 1)]
-        self.clock = [(float(np.sin(p)), float(np.cos(p))) for p in phases]  # OBS_SIN, OBS_COS
+        try:
+            phases = 2.0 * np.pi * np.arange(config.epochs + 1) / config.signal.period
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest dimension
+            raise ConfigError(f"epochs {config.epochs} does not fit in memory") from None
+        self.clock = list(zip(np.sin(phases).tolist(), np.cos(phases).tolist()))  # OBS_SIN, OBS_COS
         self.memo: dict | None = {}
         if config.mode == "synthetic":
             self.series, self.windows = None, []

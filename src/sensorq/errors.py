@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the one rule every
-config field is checked with: require(predicate, message)."""
+"""Exception types shared across the package, the one rule every config
+field is checked with, require(predicate, message), and the one reader,
+from_json, that turns a JSON config section into its dataclass."""
+
+import dataclasses
+import types
+import typing
 
 _BIG = 1.7976931348623157e308  # sys.float_info.max
 
@@ -33,11 +38,6 @@ def is_real(x, lo: float = -_BIG, hi: float = _BIG) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and lo <= x <= hi
 
 
-def as_float(x):
-    """float(x) for a real number (fixing its repr); anything else unchanged."""
-    return float(x) if is_real(x) else x
-
-
 def require_keys(raw, known, section: str) -> dict:
     """raw, once it is known to be a JSON object whose keys all lie in known."""
     require(isinstance(raw, dict), f"config section {section} must be a JSON object")
@@ -46,10 +46,31 @@ def require_keys(raw, known, section: str) -> dict:
     return raw
 
 
-def dataclass_kwargs(raw, cls, section: str) -> dict:
-    """The JSON object raw as keyword arguments of the dataclass cls: every
-    key must name a field, and each float field's number becomes a float,
-    so that 12 and 12.0 give one config (and one config_sha256)."""
-    fields = cls.__dataclass_fields__
-    require_keys(raw, fields, section)
-    return {k: as_float(v) if fields[k].type == "float" else v for k, v in raw.items()}
+def from_json(cls, raw, section: str):
+    """raw read as cls, a config dataclass or one of its field types. A
+    dataclass comes from a JSON object whose keys all name fields, each
+    value read by its field's type hint (a nested one named section.key in
+    messages); a float from a real number (so 12 and 12.0 give one config
+    and one config_sha256); X | None passes None; dict values, list items
+    and tuple items are read by their own types, a fixed-length tuple only
+    from a list of that length. Any other value comes back unchanged, for
+    validate() to name. Nothing is validated here."""
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if dataclasses.is_dataclass(cls):
+        hints = typing.get_type_hints(cls)
+        require_keys(raw, hints, section)
+        return cls(**{k: from_json(hints[k], v, f"{section}.{k}") for k, v in raw.items()})
+    if cls is float:
+        return float(raw) if is_real(raw) else raw
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if raw is None else from_json(args[0], raw, section)
+    if origin is dict and isinstance(raw, dict):
+        return {k: from_json(args[1], v, section) for k, v in raw.items()}
+    if origin is list and isinstance(raw, list):
+        return [from_json(args[0], v, section) for v in raw]
+    if origin is tuple and isinstance(raw, list):
+        if args[-1] is Ellipsis:
+            return tuple(from_json(args[0], v, section) for v in raw)
+        if len(raw) == len(args):
+            return tuple(from_json(a, v, section) for a, v in zip(args, raw))
+    return raw

@@ -37,10 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, nn
-from .agent import AgentHyperParams, TrainResult, hypers_from_dict, train, write_curve_csv
+from .agent import AgentHyperParams, TrainResult, train, write_curve_csv
 from .baselines import FixedPolicy, GreedyQPolicy, RandomPolicy, ThresholdPolicy
 from .env import EnvConfig, EpisodeInputs, RewardWeights, SensorEnv, config_from_dict
-from .errors import CheckFailure, ConfigError, as_float, is_int, is_real, require, require_keys
+from .errors import CheckFailure, ConfigError, from_json, is_int, is_real, require, require_keys
 
 EVAL_BASE = 100_000
 EVAL_STRIDE = 524_287
@@ -125,17 +125,13 @@ def spec_from_file(path, out_dir, seeds=None) -> ExperimentSpec:
             require(checkpoint is None or isinstance(checkpoint, str),
                     "manifest checkpoint must be a path or null")
         require_keys(raw, ("env", "agent", "experiment"), "top-level")
-        exp = dict(require_keys(raw.get("experiment", {}), EXPERIMENT_KEYS, "experiment"))
-        triples, etas = exp.get("weight_triples"), exp.get("eta_grid")  # else validate names them
-        if isinstance(triples, list) and all(isinstance(t, list) for t in triples):
-            exp["weight_triples"] = [tuple(map(as_float, t)) for t in triples]
-        if isinstance(etas, list):
-            exp["eta_grid"] = [as_float(e) for e in etas]
-        if seeds is not None:
-            exp["seeds"] = list(seeds)
-        return ExperimentSpec(config_from_dict(raw.get("env", {})),
-                              hypers_from_dict(raw.get("agent", {})), out_dir=Path(out_dir),
-                              checkpoint=checkpoint, **exp)
+        exp = require_keys(raw.get("experiment", {}), EXPERIMENT_KEYS, "experiment")
+        spec = from_json(ExperimentSpec, exp if seeds is None else dict(exp, seeds=list(seeds)),
+                         "experiment")
+        env = config_from_dict(raw.get("env", {}))
+        hypers = from_json(AgentHyperParams, raw.get("agent", {}), "agent")
+        hypers.validate()
+        return replace(spec, env=env, hypers=hypers, out_dir=Path(out_dir), checkpoint=checkpoint)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 

@@ -137,14 +137,15 @@ def redundancy_rate(log: EpisodeLog, delta_red: float) -> float:
 
 def event_detection_rate(log: EpisodeLog, window: int) -> float:
     """Percent of events with a kept sample inside [event, event + window];
-    100 when a sensor saw no events."""
+    100 when a sensor saw no events. Events lie before T, so a window
+    longer than the episode counts as T (and stays inside int64)."""
     n, T = log.kept.shape
     counts = np.zeros((n, T + 1), dtype=np.int64)  # counts[:, k]: kept samples before epoch k
     np.cumsum(log.kept, axis=1, out=counts[:, 1:])
     num = np.fromiter(map(len, log.events), np.int64, n)
     rows = np.repeat(np.arange(n), num)  # the sensor of each listed event
     events = np.fromiter(itertools.chain.from_iterable(log.events), np.int64, len(rows))
-    hit = counts[rows, np.minimum(events + window + 1, T)] > counts[rows, np.minimum(events, T)]
+    hit = counts[rows, np.minimum(events + min(window, T) + 1, T)] > counts[rows, np.minimum(events, T)]
     rates = np.where(num > 0, 100.0 * np.bincount(rows[hit], minlength=n) / np.maximum(num, 1), 100.0)
     return float(np.mean(rates))
 

@@ -51,7 +51,8 @@ class SignalParams:
     min_event_epoch: int = 10
 
     def validate(self) -> None:
-        require(is_int(self.period, 2), "signal period must be an integer >= 2")
+        require(is_int(self.period, 2) and is_real(self.period),  # the clock divides by it as a float
+                "signal period must be an integer >= 2")
         require(is_real(self.sin_amp, 0.0) and is_real(self.walk_sigma, 0.0)
                 and is_real(self.event_amp, 0.0),
                 "signal sin_amp, walk_sigma and event_amp must be numbers >= 0")

@@ -25,7 +25,8 @@ from sensorq.env import (
     SensorEnv,
     config_from_dict,
 )
-from sensorq.errors import ConfigError
+from sensorq.agent import AgentHyperParams
+from sensorq.errors import ConfigError, from_json
 from sensorq.signals import KINDS, SignalParams, synth_track
 
 from oracles import usable_windows
@@ -386,6 +387,23 @@ class TestConfig:
         assert cfg.sensors == ["light"]
         assert cfg.weights.info == 0.6
         assert cfg.signal.period == 24
+
+    def test_reader_follows_the_type_hints(self):
+        cfg = config_from_dict({"sensors": ["light"], "idle_cost": 0, "ranges": {"light": [0, 5]},
+                                "sample_costs": {"light": 2},
+                                "replay": {"sensors": [[1, "light"]], "delta_t": 30}})
+        assert repr((cfg.idle_cost, cfg.ranges, cfg.sample_costs)) == \
+            "(0.0, {'light': (0.0, 5.0)}, {'light': 2.0})"
+        assert repr((cfg.replay.sensors, cfg.replay.delta_t, cfg.replay.end_slot)) == \
+            "([(1, 'light')], 30.0, None)"
+        assert from_json(AgentHyperParams, {"hidden": [3, 4]}, "agent").hidden == (3, 4)
+        # a fixed-length tuple comes only from a list of that length: never truncated
+        assert from_json(EnvConfig, {"ranges": {"light": [1, 2, 3]}}, "env").ranges == \
+            {"light": [1, 2, 3]}
+        with pytest.raises(ConfigError, match="unknown env.replay config key 'paths'"):
+            config_from_dict({"replay": {"paths": "trace.txt"}})
+        with pytest.raises(ConfigError, match="config section env.weights must be a JSON object"):
+            config_from_dict({"weights": None})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -292,6 +292,15 @@ class TestCompare:
         assert cli.main(["train", "--config", "reuse/manifest.json", "--out", "trained"]) == 0
         assert json.loads(Path("trained/manifest.json").read_text())["checkpoint"] is None
 
+    def test_window_past_the_episode_covers_the_rest_of_it(self, tmp_path):
+        """A detection_window past int64 scores like one as long as the episode."""
+        policies = ["fixed(3)", "random(0.3)", "threshold(0.15)"]
+        for name, window in (("long", 10**30), ("episode", 10)):
+            run_compare(tiny_spec(tmp_path / name, env=tiny_env(detection_window=window),
+                                  policies=policies))
+        assert (tmp_path / "long" / "compare.csv").read_bytes() == \
+            (tmp_path / "episode" / "compare.csv").read_bytes()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         spec_a = tiny_spec(tmp_path / "a")
         spec_b = tiny_spec(tmp_path / "b")
@@ -624,6 +633,12 @@ class TestCli:
             {"experiment": {"weight_triples": [1]}},
             {"experiment": {"weight_triples": 3}},
             {"experiment": {"eta_grid": 5}},
+            # each of these ran out of memory, ended in a traceback or printed quality=nan
+            {"env": {"epochs": 10**15}},  # a 7.11 PiB clock: malloc fails at once
+            {"env": {"epochs": 10**19}},  # past int64: numpy refuses the shape
+            {"env": {"signal": {"period": 10**400}}},  # an integer past the float range
+            {"env": {"sensors": ["temperature"],
+                     "ranges": {"temperature": [-1e308, 1e308]}}},  # high - low overflows
         ],
         ids=["unknown-agent-key", "signal-period-1", "batch-size-0", "train-episodes-str",
              "weight-str", "epochs-str", "noise-beta-negative", "four-weights",
@@ -638,7 +653,8 @@ class TestCli:
              "replay-capacity-0", "hard-copy-every-removed", "capacity-huge", "hidden-huge",
              "capacity-past-int64", "hidden-past-int64",
              "ranges-inverted", "sensors-short-pair", "sensors-flat", "sensors-str", "sensors-object",
-             "sensors-null", "hidden-int", "hidden-null", "triples-flat", "triples-int", "eta-grid-int"],
+             "sensors-null", "hidden-int", "hidden-null", "triples-flat", "triples-int", "eta-grid-int",
+             "epochs-huge", "epochs-past-int64", "period-huge", "ranges-span-inf"],
     )
     def test_bad_config_is_one_line_exit_1(self, tmp_path, capsys, request, raw):
         path = tmp_path / "config.json"
@@ -652,7 +668,8 @@ class TestCli:
         prefix = request.node.callspec.id.split("-")[0]
         field = {"sensors": "sensors", "hidden": "hidden", "triples": "weight_triples",
                  "four": "weight_triples", "eta": "eta_grid",
-                 "capacity": "replay_capacity"}.get(prefix)
+                 "capacity": "replay_capacity", "epochs": "epochs", "period": "period",
+                 "ranges": "ranges"}.get(prefix)
         assert field is None or field in err, (field, err)
 
     def test_negative_seed_argument_is_one_line_exit_1(self, tmp_path, capsys):
@@ -953,7 +970,9 @@ FUZZ_FIELDS = (
     + [("agent", f.name) for f in fields(AgentHyperParams)]
     + [("experiment", key) for key in EXPERIMENT_KEYS]
 )
-FUZZ_VALUES = [True, False, None, float("nan"), float("inf"), float("-inf"), -1, 0, 2.5, "x", [], {}]
+# the last three reach the config reader's tuple, list and dict branches with the wrong shape
+FUZZ_VALUES = [True, False, None, float("nan"), float("inf"), float("-inf"), -1, 0, 2.5, "x", [], {},
+               [1, 2, 3], [[1, 2]], {"x": [1]}]
 
 
 @settings(max_examples=len(FUZZ_FIELDS) * len(FUZZ_VALUES))  # about every pair

@@ -240,3 +240,14 @@ def test_array_metrics_match_the_loop_oracles(case):
     assert metrics.energy_total(log) == np.mean([np.array(row).sum() for row in energy])
     want_q = np.mean([naive_quality(t, s, span) for t, s, span in zip(truth, samples, spans)])
     assert abs(metrics.data_quality(log) - want_q) < 1e-9
+
+
+@given(oracle_cases(), st.sampled_from(["T", 2**63 - 1, 2**63, 10**30]))
+def test_window_past_the_episode_matches_the_loop_oracle(case, window):
+    """A window of T or more covers the rest of the episode: past int64 it
+    neither wraps to a negative index nor overflows."""
+    truth, samples, energy, events, ranges, _ = case
+    log = stacked_log(truth, samples, energy, events, ranges)
+    window = len(truth[0]) if window == "T" else window
+    assert metrics.event_detection_rate(log, window) == np.mean(
+        [naive_detection(ev, s, window) for ev, s in zip(events, samples)])
