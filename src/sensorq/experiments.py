@@ -2,8 +2,8 @@
 interference sweep.
 
 run_train, run_compare, run_weight_sweep and run_interference_sweep share
-one path: _prologue validates, creates the output directory, builds the
-run's EpisodeInputs (reading a replay trace once) and writes the manifest;
+one path: _prologue validates, builds the run's EpisodeInputs (reading a
+replay trace once), creates the output directory and writes the manifest;
 _train_per_seed writes every dqn_seed<s>.txt and curve_seed<s>.csv;
 _report evaluates a policy under every seed and aggregates the rows; every
 table goes out through metrics.write_csv.
@@ -195,12 +195,13 @@ def make_baseline(text: str, horizon: int):
 
 
 def _prologue(spec: ExperimentSpec, kind: str) -> tuple[Path, EpisodeInputs]:
-    """Validate the spec, create the output directory, build the run's
-    EpisodeInputs and write the manifest; every experiment starts here."""
+    """Validate the spec, build the run's EpisodeInputs, create the output
+    directory and write the manifest; every experiment starts here, and one
+    that fails before the manifest leaves no directory behind."""
     spec.validate(kind)
+    inputs = EpisodeInputs(spec.env)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = EpisodeInputs(spec.env)
     write_manifest(spec, kind, out_dir)
     return out_dir, inputs
 

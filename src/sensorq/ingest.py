@@ -21,7 +21,8 @@ auditable. A line skips for the first check it fails: 8 fields, numbers
 (int() and float() as Python reads them, finite channels, int64 ids), mote
 >= 1 and epoch >= 0, then date and clock. Lines are parsed _BLOCK at a time,
 column by column: each line is split once, and each number column is read
-by one map(int) or map(float), field by field only where that raises. A
+by one np.array call, which reads each field with int() or float(), field
+by field only where that raises. A
 "HH:MM:SS[.f]" clock of ASCII digits is read from its code points, a field
 width at a time; any other form goes through the strptime pattern.
 
@@ -31,7 +32,11 @@ bucketed onto a regular grid of width delta_t seconds (finite and > 0)
 starting at the earliest kept timestamp (slot = floor((t - t0) /
 delta_t)). Of one mote's readings in one slot the largest (timestamp,
 epoch, temperature, humidity, light, voltage) wins, the first line of
-equal ones (0.0 equals -0.0); one lexsort of the columns finds them all.
+equal ones (0.0 equals -0.0). A stable sort by (mote, slot) keeps each
+slot's readings in line order; where a slot holds several, those equal to
+the slot's largest timestamp stay, then of those the ones with the largest
+epoch, and so on through the channels, until one is left or the keys run
+out and the first line stays.
 
 The grid is one Trace: the mote ids, a (motes, slots) presence mask, the
 (motes, channels, slots) readings with NaN where a mote has none (a present
@@ -46,7 +51,7 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -128,9 +133,10 @@ def _day_seconds(text: str) -> int | None:
 def _numbers(kind, texts, dtype) -> tuple[np.ndarray, np.ndarray | None]:
     """A column of fields as kind() reads them, in a dtype array, and a mask of
     the fields that kind() rejects or dtype cannot hold (None: none does).
-    Only a column that raises is converted again, field by field."""
+    np.array reads a str with int() for an integer dtype and float() for a
+    float one; only a column that raises is converted again, field by field."""
     try:
-        return np.fromiter(map(kind, texts), dtype, len(texts)), None
+        return np.array(texts, dtype), None
     except (ValueError, OverflowError):  # a field kind() rejects; an int outside int64
         pass
     values, bad = np.zeros(len(texts), dtype), np.zeros(len(texts), bool)
@@ -176,10 +182,10 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[np.ndarray]]:
     the Unix epoch, date and time read as UTC), epoch, mote, then the
     channels in KINDS order. A line that fails several checks skips for the
     first: field count, number, range, date and clock."""
-    split = [line.split() for line in lines]
+    split = list(map(str.split, lines))
     status = np.full(len(lines), SKIPPED[R_FIELDS], np.int8)
     eight = np.fromiter(map(len, split), np.intp, len(split)) == 8
-    dates, clocks, *numbers = list(zip(*(f for f in split if len(f) == 8))) or [()] * 8
+    dates, clocks, *numbers = list(zip(*compress(split, eight.tolist()))) or [()] * 8
     converted = [_numbers(int, texts, np.int64) for texts in numbers[:2]]
     converted += [_numbers(float, texts, np.float64) for texts in numbers[2:]]
     epochs, motes, *channels = (values for values, _ in converted)
@@ -192,6 +198,26 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, list[np.ndarray]]:
                                         [SKIPPED[R_NUMBER], SKIPPED[R_RANGE], SKIPPED[R_NUMBER]], PARSED)
     parsed = checked == PARSED
     return status, [column[parsed] for column in (stamps, epochs, motes, *channels)]
+
+
+def _runs(*columns) -> np.ndarray:
+    """True at each row that starts a run: the first, and each that differs
+    from the row before in some column."""
+    starts = np.ones(len(columns[0]), bool)
+    starts[1:] = np.logical_or.reduce([column[1:] != column[:-1] for column in columns])
+    return starts
+
+
+def _groups(motes, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first row of each (mote, slot), in (mote, slot) order, and the rows
+    of the (mote, slot)s that hold several, in line order within each, with
+    each one's index into the first. A function of its own so that the sort's
+    index arrays are freed before the conflicts are settled."""
+    order = np.lexsort((slots, motes))  # stable: a group's rows stay in line order
+    starts = np.flatnonzero(_runs(motes[order], slots[order]))
+    sizes = np.diff(starts, append=len(order))
+    several = sizes > 1
+    return order[starts], order[np.repeat(several, sizes)], np.repeat(np.flatnonzero(several), sizes[several])
 
 
 def load_trace(path, delta_t: float = 60.0) -> tuple[Trace, IngestReport]:
@@ -231,15 +257,17 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[Trace, IngestReport]:
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny delta_t gives inf: rejected below
         slots = (stamps - stamps.min()) // delta_t  # whole numbers; float64 until checked below
 
-    # a slot conflict keeps the largest (timestamp, epoch, channels) key: sort
-    # by (mote, slot, key) and take the last row of each (mote, slot). The rows
-    # are sorted back to front, so of exactly equal keys the first line wins.
-    back = slice(None, None, -1)
-    keys = [col[back] for col in (*channels[::-1], epochs, stamps, slots, motes)]
-    order = report.kept - 1 - np.lexsort(keys)
-    by_mote, by_slot = motes[order], slots[order]
-    last = np.append((by_mote[1:] != by_mote[:-1]) | (by_slot[1:] != by_slot[:-1]), True)
-    rows = order[last]
+    # a slot conflict keeps the largest (timestamp, epoch, channels) key, the first
+    # line of equal ones: of each (mote, slot) that holds several rows, the rows
+    # equal to their group's maximum stay, a key at a time
+    rows, held, group = _groups(motes, slots)
+    for key in (stamps, epochs, *channels):
+        if len(firsts := np.flatnonzero(_runs(group))) == len(group):  # one row left in each group
+            break
+        key_values = key[held]
+        keep = key_values == np.repeat(np.maximum.reduceat(key_values, firsts), np.diff(firsts, append=len(held)))
+        held, group = held[keep], group[keep]
+    rows[group[_runs(group)]] = held[_runs(group)]
 
     ids, firsts = np.unique(motes[rows], return_index=True)
     n_slots = float(slots.max()) + 1  # no grid exists yet

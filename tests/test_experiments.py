@@ -696,6 +696,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, env, code",
+        [("train", {"epochs": 10**15}, 1),
+         ("compare", {"epochs": 8, "mode": "replay",
+                      "replay": {"path": "no-such-trace.txt", "sensors": [[1, "temperature"]]}}, 2)],
+        ids=["epochs-too-many", "replay-trace-missing"],
+    )
+    def test_failed_inputs_leave_no_output_directory(self, tmp_path, capsys, command, env, code):
+        """A run whose episode inputs cannot be built creates nothing."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"env": env, "experiment": {"policies": ["fixed(1)"]}}))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, action_mode, policies, message",
         [("compare", "binary", [], "need at least one policy"),
          ("sweep-interference", "binary", [], "need at least one policy"),

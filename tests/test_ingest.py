@@ -374,6 +374,38 @@ class TestLoadTrace:
         np.testing.assert_array_equal(trace_a.values, trace_b.values)
         np.testing.assert_array_equal(trace_a.present, trace_b.present)
 
+    def test_conflict_dense_trace_does_not_depend_on_line_order(self, tmp_path):
+        """20 motes x 500 slots with two readings in every (mote, slot): the
+        pairs differ first at a random key, or not at all. No reading is
+        zero, so which of two equal lines wins cannot show in the bytes."""
+        rng = np.random.default_rng(26)
+        start = datetime(2004, 3, 1)
+        lines = []
+        for slot in range(500):
+            for mote in range(1, 21):
+                first = [slot * 60 + int(rng.integers(0, 59)) + int(rng.integers(1, 10**6)) / 10**6,
+                         int(rng.integers(0, 1000)), 20 + int(rng.integers(1, 80)) / 8,
+                         40 + int(rng.integers(1, 80)) / 8, 100 + int(rng.integers(1, 80)) / 4,
+                         2.5 + int(rng.integers(1, 80)) / 100]
+                if slot == mote - 1 == 0:
+                    first[0] = 0.0  # the grid's origin: every slot holds both readings
+                second, at = list(first), int(rng.integers(0, 7))  # 6: equal on every key
+                if at < 6:
+                    second[at] += (1e-6, 1, 1 / 8, 1 / 8, 1 / 4, 1 / 100)[at]
+                for stamp, epoch, *channels in (first, second):
+                    clock = start + timedelta(seconds=round(stamp, 6))
+                    lines.append(f"{clock:%Y-%m-%d %H:%M:%S.%f} {epoch} {mote} "
+                                 + " ".join(f"{v:.6f}" for v in channels))
+        trace_a, report_a = load_trace(write_trace(tmp_path, lines, "a.txt"))
+        shuffled = list(lines)
+        np.random.default_rng(7).shuffle(shuffled)
+        trace_b, report_b = load_trace(write_trace(tmp_path, shuffled, "b.txt"))
+        assert report_a.kept == report_b.kept == len(lines) == 20_000
+        assert trace_a.motes == trace_b.motes == list(range(1, 21))
+        assert trace_a.present.shape == (20, 500) and trace_a.present.all()
+        for name in ("present", "values", "low", "high"):
+            assert getattr(trace_a, name).tobytes() == getattr(trace_b, name).tobytes(), name
+
     def test_stats_bound_kept_values(self, tmp_path):
         lines = [
             f"2004-03-01 00:0{i}:00.0 {i} 1 {18 + 2 * i}.0 {30 + i}.0 {90 + i}.0 2.7"
@@ -531,6 +563,49 @@ class TestGridMatchesKeyTupleOracle:
         swapped = [lines[1], lines[0], *lines[2:]]
         trace = assert_matches_key_tuple_oracle(write_trace(tmp_path, swapped), swapped, 60.0)
         assert not np.signbit(row(trace, 1, "light")[0])
+
+    def test_first_line_loses_then_later_lines_tie(self, tmp_path):
+        """A group keeps its identity when its first line drops out: here the
+        slot before it also holds a conflict, which its first line wins."""
+        lines = [
+            "2004-03-01 00:00:20 9 1 20 40 5 2.7",
+            "2004-03-01 00:00:10 3 1 21 40 5 2.7",  # earlier in the slot: loses
+            "2004-03-01 00:01:10 1 1 30 40 5 2.7",  # the next slot's first line, earliest: loses
+            "2004-03-01 00:01:40 1 1 22 40 -0 2.7",  # ties with the line below on every key: wins
+            "2004-03-01 00:01:40 1 1 22 40 0 2.7",
+        ]
+        trace = assert_matches_key_tuple_oracle(write_trace(tmp_path, lines), lines, 60.0)
+        np.testing.assert_array_equal(row(trace, 1, "temperature"), [20, 22])
+        assert np.signbit(row(trace, 1, "light")[1])
+        swapped = [*lines[:3], lines[4], lines[3]]
+        trace = assert_matches_key_tuple_oracle(write_trace(tmp_path, swapped), swapped, 60.0)
+        assert not np.signbit(row(trace, 1, "light")[1])
+
+    def test_conflict_settled_only_at_voltage(self, tmp_path):
+        lines = [
+            "2004-03-01 00:00:10 4 1 20 40 5 2.69",
+            "2004-03-01 00:00:10 4 1 20 40 5 2.71",  # equal up to voltage, higher: wins
+            "2004-03-01 00:00:10 4 1 20 40 5 2.70",
+        ]
+        trace = assert_matches_key_tuple_oracle(write_trace(tmp_path, lines), lines, 60.0)
+        np.testing.assert_array_equal(row(trace, 1, "voltage"), [2.71])
+
+    def test_conflicts_in_two_motes_between_single_slots(self, tmp_path):
+        lines = [
+            "2004-03-01 00:00:10 0 2 20 40 5 2.7",
+            "2004-03-01 00:00:15 0 3 30 40 5 2.7",
+            "2004-03-01 00:01:10 1 2 21 40 5 2.7",
+            "2004-03-01 00:00:15 0 3 31 40 5 2.7",  # mote 3, slot 0: warmer wins
+            "2004-03-01 00:01:15 1 3 32 40 5 2.7",
+            "2004-03-01 00:01:10 2 2 22 40 5 2.7",  # mote 2, slot 1: higher epoch wins
+            "2004-03-01 00:02:10 3 2 23 40 5 2.7",
+            "2004-03-01 00:02:15 2 3 33 40 5 2.7",
+            "2004-03-01 00:02:12 2 3 34 40 5 2.7",  # mote 3, slot 2: earlier, loses
+            "2004-03-01 00:03:15 3 3 35 40 5 2.7",
+        ]
+        trace = assert_matches_key_tuple_oracle(write_trace(tmp_path, lines), lines, 60.0)
+        np.testing.assert_array_equal(row(trace, 2, "temperature"), [20, 22, 23, np.nan])
+        np.testing.assert_array_equal(row(trace, 3, "temperature"), [31, 32, 33, 35])
 
     @given(
         good=st.lists(_LINE, min_size=1, max_size=30),
