@@ -208,11 +208,13 @@ def train(env, hypers: AgentHyperParams, episodes: int, seed: int) -> TrainResul
     """Interact, replay, and update until the episode budget is spent.
 
     Per decision the pending (s, a) is closed against the next observation
-    the same sensor gets to act on, with rewards accrued in between; in
-    binary mode that reduces to ordinary one-step transitions. Each
-    sensor's open decision lives at index i of the lists pend_s (a row of
-    the observation it was taken on: env.step builds a fresh matrix each
-    epoch and nothing writes to it), pend_a, pend_r and pending.
+    the same sensor gets to act on, with rewards accrued in between. That
+    is the next epoch's while the sensor has battery; its last decision
+    before the battery runs empty stays open, accruing the idle epochs'
+    rewards, until the episode ends. Each sensor's open decision lives at
+    index i of the lists pend_s (a row of the observation it was taken
+    on: env.step builds a fresh matrix each epoch and nothing writes to
+    it), pend_a, pend_r and pending.
 
     Each epoch the deciding sensors draw first (see select_action); the
     online network's forward over all sensors runs only if one exploits.

@@ -3,8 +3,7 @@
 All policies share one protocol: `reset(rng)` at episode start, then
 `act(obs, epoch)` returning one Python int action per sensor, every
 sensor included; experiments.run_episode passes None instead where the
-environment's decision mask says a sensor may not decide. The
-non-learning baselines only make sense in binary action mode.
+environment's decision mask says a sensor may not decide.
 """
 
 from __future__ import annotations

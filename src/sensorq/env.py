@@ -17,20 +17,17 @@ flags a kept sample nearly identical to its predecessor. `step` returns
 the rewards as one float64 array of shape (num_sensors,); `reward_terms`
 rebuilds all four terms, (num_sensors, T) each, from the episode record.
 
-Two action modes:
-  binary    0 = skip, 1 = sample (default)
-  interval  action k = sample now, then sleep {1, 2, 4, 8}[k] epochs
-
-Dormant (sleeping) and battery-empty sensors take no decision; callers
-must pass None (or 0 in binary mode) for them, anything else is rejected.
-Every other sensor needs a Python int in [0, num_actions): a bool, float
-or numpy integer is rejected, not truncated. `step` checks every sensor's
-action before it applies any, so a step that raises ValueError leaves
-batteries, ledger, kept samples and clock unchanged. Per-sensor state lives in
-Python lists, which `step` reads and writes one sensor at a time. The
-episode record is five (num_sensors, T) arrays: truth, the energy ledger
-and the action labels (one column each per step), a kept-sample mask and
-the kept values; `episode_log` hands all but the labels to the metrics.
+Actions: 0 = skip, 1 = sample. A sensor out of battery takes no
+decision; callers must pass None (or 0) for it, anything else is
+rejected. Every other sensor needs a Python int in [0, num_actions): a
+bool, float or numpy integer is rejected, not truncated. `step` checks
+every sensor's action before it applies any, so a step that raises
+ValueError leaves batteries, ledger, kept samples and clock unchanged.
+Per-sensor state lives in Python lists, which `step` reads and writes
+one sensor at a time. The episode record is five (num_sensors, T)
+arrays: truth, the energy ledger and the action labels (one column each
+per step), a kept-sample mask and the kept values; `episode_log` hands
+all but the labels to the metrics.
 
 Both signal sources reduce to the same episode setup: a (num_sensors, T)
 truth matrix and one (low, high) normalization range per sensor (the
@@ -62,9 +59,8 @@ from .signals import (
 
 DEFAULT_SAMPLE_COST = {"temperature": 1.0, "humidity": 1.2, "light": 0.8, "voltage": 0.6}
 
-SKIP, SAMPLE, IDLE = 0, 1, 2  # binary actions; also the int8 action labels of the record
+SKIP, SAMPLE, IDLE = 0, 1, 2  # the two actions; all three are the int8 action labels of the record
 ACTION_LABELS = ("skip", "sample", "idle")  # the episode CSV's name for each label
-INTERVAL_SLEEPS = (1, 2, 4, 8)
 
 # observation feature layout
 OBS_VALUE = 0  # last kept value, normalized to channel range
@@ -141,7 +137,6 @@ class EnvConfig:
     noise_beta: float = 0.2
     drop_prob: float = 0.1
     weights: RewardWeights = field(default_factory=RewardWeights)
-    action_mode: str = "binary"
     signal: SignalParams = field(default_factory=SignalParams)
     ranges: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(CHANNEL_RANGE))
     detection_window: int = 2
@@ -176,7 +171,6 @@ class EnvConfig:
         require(is_real(self.noise_beta, 0.0) and is_real(self.delta_red, 0.0),
                 "noise_beta and delta_red must be numbers >= 0")
         require(is_int(self.detection_window, 0), "detection_window must be an integer >= 0")
-        require(self.action_mode in ("binary", "interval"), f"unknown action mode {self.action_mode!r}")
         self.weights.validate()
         self.signal.validate()
 
@@ -185,10 +179,6 @@ class EnvConfig:
         if self.mode == "replay":
             return [k for _, k in self.replay.sensors]
         return list(self.sensors)
-
-    @property
-    def num_actions(self) -> int:
-        return 2 if self.action_mode == "binary" else len(INTERVAL_SLEEPS)
 
     @property
     def max_action_cost(self) -> float:
@@ -299,6 +289,7 @@ class SensorEnv:
     """
 
     obs_dim = OBS_DIM
+    num_actions = 2  # SKIP, SAMPLE
 
     def __init__(self, config: EnvConfig, inputs: EpisodeInputs | None = None):
         if inputs is None:  # EpisodeInputs validates the config
@@ -310,8 +301,6 @@ class SensorEnv:
         self._inputs = inputs
         self.kinds = config.sensor_kinds
         self.num_sensors = len(self.kinds)
-        self._binary = config.action_mode == "binary"
-        self.num_actions = config.num_actions
         self._sample_costs = [config.sample_costs[k] for k in self.kinds]
         self._c_max = c_max = config.max_action_cost
         info_w, energy_w, redundancy_w = self._weights = config.weights.as_tuple()
@@ -336,7 +325,6 @@ class SensorEnv:
         self._last_epoch = [-1] * n
         self._slope = [0.0] * n
         self._value_obs = [0.5] * n  # OBS_VALUE before the first kept sample
-        self._sleep_until = [0] * n
         self._free = [True] * n  # the decision mask
         self._last_value = [0.0] * n  # the last kept value, once _last_epoch >= 0
         # fresh arrays every episode: episode_log hands them out without a copy
@@ -366,7 +354,7 @@ class SensorEnv:
     @property
     def decision_mask(self) -> np.ndarray:
         """True where the policy must supply an action this epoch: the
-        sensor is neither sleeping nor out of battery."""
+        sensor is not out of battery."""
         return np.array(self._free)
 
     # -- dynamics ----------------------------------------------------------
@@ -381,13 +369,13 @@ class SensorEnv:
             raise ValueError("reset() the environment before stepping")
         if len(actions) != self.num_sensors:
             raise ValueError(f"need {self.num_sensors} actions, got {len(actions)}")
-        binary, n_actions = self._binary, self.num_actions
+        n_actions = self.num_actions
         for i, (action, free) in enumerate(zip(actions, self._free)):
             whole = isinstance(action, int) and type(action) is not bool  # is_int's rule, inline
             if free and not (whole and 0 <= action < n_actions):
                 raise ValueError(f"sensor {i}: invalid action {action!r}")
-            if not (free or action is None or binary and whole and action == SKIP):
-                raise ValueError(f"sensor {i} cannot act this epoch (dormant or empty)")
+            if not (free or action is None or whole and action == SKIP):
+                raise ValueError(f"sensor {i} cannot act this epoch (out of battery)")
 
         cfg = self.config
         info_w, energy_w, redundancy_w = self._weights
@@ -395,7 +383,7 @@ class SensorEnv:
         rewards, drawn_mj, labels = [], [], []
         for i, (action, free, truth, span) in enumerate(
                 zip(actions, self._free, self._truth[:, e].tolist(), self._spans)):
-            idle = not free or binary and action == SKIP
+            idle = not free or action == SKIP
             drawn = min(battery[i], idle_cost if idle else self._sample_costs[i])
             battery[i] -= drawn
             drawn_mj.append(drawn)
@@ -405,8 +393,6 @@ class SensorEnv:
                 continue
             labels.append(SAMPLE)
             gain = duplicate = 0.0
-            if not binary:
-                self._sleep_until[i] = e + INTERVAL_SLEEPS[action]
             measured, kept = inject_interference(
                 truth, cfg.eta, self._noise_rng, cfg.noise_beta, span, cfg.drop_prob
             )
@@ -428,7 +414,7 @@ class SensorEnv:
         self._ledger[:, e], self._labels[:, e] = drawn_mj, labels
         self._epoch = e = e + 1
         self._done = e == cfg.epochs
-        self._free = [until <= e and b > 0.0 for until, b in zip(self._sleep_until, battery)]
+        self._free = [b > 0.0 for b in battery]
         return np.array(rewards), self._observations(), self._done, False
 
     # -- episode artifacts ---------------------------------------------------

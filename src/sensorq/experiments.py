@@ -85,9 +85,6 @@ class ExperimentSpec:
         for text in self.policies:  # fail before any training
             if text != "dqn":
                 make_baseline(text, self.env.epochs)
-                # only compare and the interference sweep evaluate baselines
-                require(self.env.action_mode == "binary" or kind in ("train", "weight-sweep"),
-                        f"policy {text} needs action_mode binary; interval mode runs only dqn")
         require(isinstance(self.weight_triples, (list, tuple))
                 and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in self.weight_triples),
                 "weight_triples must be a list of [info, energy, redundancy] triples")
@@ -227,7 +224,7 @@ def _dqn_params_per_seed(
             params = nn.load_network(spec.checkpoint)
         except ValueError as exc:
             raise ConfigError(f"checkpoint {spec.checkpoint}: {exc}") from exc
-        shape = (SensorEnv.obs_dim, cfg.num_actions)
+        shape = (SensorEnv.obs_dim, SensorEnv.num_actions)
         if (params.in_dim, params.out_dim) != shape:
             raise ConfigError(
                 f"checkpoint {spec.checkpoint}: network maps {params.in_dim} -> "

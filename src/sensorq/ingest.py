@@ -269,7 +269,8 @@ def load_trace(path, delta_t: float = 60.0) -> tuple[Trace, IngestReport]:
         held, group = held[keep], group[keep]
     rows[group[_runs(group)]] = held[_runs(group)]
 
-    ids, firsts = np.unique(motes[rows], return_index=True)
+    starts = _runs(m := motes[rows])  # m is sorted: rows are in (mote, slot) order
+    ids, firsts = m[starts], np.flatnonzero(starts)
     n_slots = float(slots.max()) + 1  # no grid exists yet
     require(n_slots * len(ids) <= MAX_GRID_CELLS,  # False for inf too
             f"delta_t {delta_t!r} needs {n_slots:.3g} slots x {len(ids)} motes > {MAX_GRID_CELLS} cells")

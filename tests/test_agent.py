@@ -457,16 +457,6 @@ class TestTrain:
             q = nn.forward_batch(result.params, obs[None])[0]
             assert int(np.argmax(q)) == OPTIMAL[state]
 
-    def test_train_on_interval_mode_env(self):
-        from sensorq.env import EnvConfig, SensorEnv
-
-        cfg = EnvConfig(sensors=["temperature"], epochs=24, action_mode="interval")
-        hp = toy_hypers(batch_size=8, warmup=8, hidden=(8,))
-        result = train(SensorEnv(cfg), hp, 4, seed=6)
-        assert len(result.curve) == 4
-        # returns accrue all epochs, including dormant idle penalties
-        assert all(np.isfinite(row[1]) for row in result.curve)
-
     @pytest.mark.parametrize("epsilon", [1.0, 0.0], ids=["explore", "exploit"])
     def test_q_forward_only_when_a_sensor_exploits(self, monkeypatch, epsilon):
         # eps = 1: every sensor explores, so the only forwards are td_loss's
@@ -500,21 +490,43 @@ class TestTrain:
         assert lazy.curve == oracle.curve
         assert lazy.params.flat.tobytes() == oracle.params.flat.tobytes()
 
-    def test_interval_transitions_accumulate_sleep_rewards(self, monkeypatch):
+    def test_empty_battery_transitions_accumulate_idle_rewards(self, monkeypatch):
         # every epoch's reward lands in exactly one pending transition, so
-        # the pushed rewards must sum to the episode return
+        # the pushed rewards must sum to the episode return; a sensor's last
+        # decision before its battery runs empty stays open over the idle
+        # epochs that follow, up to the episode's end
         import sensorq.agent as agent_mod
         from sensorq.env import EnvConfig, SensorEnv
 
-        pushed = []
+        class StampedEnv(SensorEnv):
+            """Remembers the epoch of every observation matrix it hands out."""
+
+            def reset(self, seed):
+                obs = super().reset(seed)
+                self.stamps = [(obs, 0)]
+                return obs
+
+            def step(self, actions):
+                rewards, obs, done, truncated = super().step(actions)
+                self.stamps.append((obs, self.epoch))
+                return rewards, obs, done, truncated
+
+        def epoch_of(row):  # a pushed row is a view of one observation matrix
+            return next(e for obs, e in env.stamps if row.base is obs)
+
+        pushed, spans = [], []
 
         class RecordingPool(ReplayPool):
             def push(self, s, a, r, s2, done):
                 pushed.append(r)
+                spans.append(epoch_of(s2) - epoch_of(s))
                 super().push(s, a, r, s2, done)
 
         monkeypatch.setattr(agent_mod, "ReplayPool", RecordingPool)
-        cfg = EnvConfig(sensors=["temperature", "voltage"], epochs=12, action_mode="interval")
+        cfg = EnvConfig(sensors=["temperature", "voltage"], epochs=12, battery_mj=3.0)
+        env = StampedEnv(cfg)
         hp = toy_hypers(warmup=10_000)  # collect only, never update
-        result = agent_mod.train(SensorEnv(cfg), hp, 1, seed=6)
+        result = agent_mod.train(env, hp, 1, seed=6)
+        assert not any(env._battery)  # both sensors ran empty
         assert abs(sum(pushed) - result.curve[0][1]) < 1e-12
+        assert min(spans) == 1 and max(spans) > 1

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sensorq import ingest, metrics
 from sensorq.env import (
-    INTERVAL_SLEEPS,
     OBS_BATTERY,
     OBS_DIM,
     OBS_KIND,
@@ -234,14 +233,12 @@ class TestReward:
             for r, g, c, d in zip(rewards, gain[e], cost[e], duplicate[e]):
                 assert r == 0.37 * g - 0.41 * c - 0.22 * d
 
-    @pytest.mark.parametrize("action_mode, labels", [("binary", {"skip", "sample", "idle"}),
-                                                     ("interval", {"sample", "idle"})])
-    def test_rebuilt_rewards_equal_the_stepped_ones(self, tmp_path, action_mode, labels):
+    def test_rebuilt_rewards_equal_the_stepped_ones(self, tmp_path):
         """Whole episodes with dropped samples (eta > 0) and sensors that run
         empty: reward_terms()[3] is the step rewards, stacked, bit for bit."""
         cfg = small_config(sensors=["temperature", "light", "voltage"], epochs=40, battery_mj=9.0,
-                           eta=0.6, drop_prob=0.5, action_mode=action_mode,
-                           weights=RewardWeights(0.37, 0.41, 0.22), delta_red=0.2)
+                           eta=0.6, drop_prob=0.5, weights=RewardWeights(0.37, 0.41, 0.22),
+                           delta_red=0.2)
         env = SensorEnv(cfg)
         rng = np.random.default_rng(7)
         for seed in range(3):
@@ -259,7 +256,7 @@ class TestReward:
             assert np.array_equal(gain > 0, env._kept)
             env.write_episode_csv(tmp_path / "episode.csv")
             with open(tmp_path / "episode.csv", newline="") as fh:
-                assert {row["action"] for row in csv.DictReader(fh)} == labels
+                assert {row["action"] for row in csv.DictReader(fh)} == {"skip", "sample", "idle"}
 
     def test_reward_scales_linearly_with_weights(self):
         script_rng = np.random.default_rng(2)
@@ -277,31 +274,6 @@ class TestReward:
                     break
             totals[scale] = np.array(acc)
         np.testing.assert_allclose(totals[2.0], 2.0 * totals[1.0], rtol=0, atol=1e-12)
-
-
-class TestIntervalMode:
-    def test_sleep_masks_decisions(self):
-        cfg = small_config(sensors=["temperature"], action_mode="interval", epochs=10)
-        env = SensorEnv(cfg)
-        env.reset(0)
-        assert env.num_actions == 4
-        env.step([2])  # sample then sleep 4 epochs
-        assert env._kept[0].sum() == 1
-        for _ in range(3):
-            assert not env.decision_mask[0]
-            with pytest.raises(ValueError):
-                env.step([1])
-            env.step([None])
-        assert env.decision_mask[0]
-
-    def test_dormant_epochs_pay_idle(self):
-        cfg = small_config(sensors=["temperature"], action_mode="interval", epochs=10)
-        env = SensorEnv(cfg)
-        env.reset(0)
-        env.step([1])  # sample, sleep 2
-        env.step([None])
-        spent = cfg.battery_mj - env._battery[0]
-        assert abs(spent - (cfg.sample_costs["temperature"] + cfg.idle_cost)) < 1e-12
 
 
 class TestEpisodeLog:
@@ -440,26 +412,24 @@ class TestConfig:
 
 
 @given(
-    mode=st.sampled_from(["binary", "interval"]),
     eta=st.sampled_from([0.0, 0.5]),
     battery=st.sampled_from([0.5, 1.0, 2.3, 6.0]),
     kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
     epochs=st.integers(2, 16),
     seed=st.integers(0, 2**16),
 )
-def test_invariants_under_random_legal_actions(mode, eta, battery, kinds, epochs, seed):
+def test_invariants_under_random_legal_actions(eta, battery, kinds, epochs, seed):
     """Battery never goes negative and every mJ drawn is in the ledger; the
-    mask is False exactly for sleeping or empty sensors, and acting on a
-    masked sensor is rejected."""
-    cfg = EnvConfig(sensors=kinds, epochs=epochs, battery_mj=battery, eta=eta, action_mode=mode)
+    mask is False exactly for empty sensors, and acting on a masked sensor
+    is rejected."""
+    cfg = EnvConfig(sensors=kinds, epochs=epochs, battery_mj=battery, eta=eta)
     env = SensorEnv(cfg)
     env.reset(seed)
     rng = np.random.default_rng(seed)
-    awake_at = np.zeros(len(kinds), dtype=int)
     done = False
     while not done:
-        e, mask = env.epoch, env.decision_mask.copy()
-        np.testing.assert_array_equal(mask, (awake_at <= e) & (np.asarray(env._battery) > 0.0))
+        mask = env.decision_mask.copy()
+        np.testing.assert_array_equal(mask, np.asarray(env._battery) > 0.0)
         actions = [int(rng.integers(env.num_actions)) if m else None for m in mask]
         for j in np.flatnonzero(~mask):
             bad = list(actions)
@@ -468,9 +438,6 @@ def test_invariants_under_random_legal_actions(mode, eta, battery, kinds, epochs
                 env.step(bad)
         _, _, done, _ = env.step(actions)
         assert np.all(np.asarray(env._battery) >= 0.0)
-        for i, a in enumerate(actions):
-            if a is not None and mode == "interval":
-                awake_at[i] = e + INTERVAL_SLEEPS[a]
     np.testing.assert_allclose(battery - np.asarray(env._battery), env._ledger.sum(axis=1), rtol=0, atol=1e-9)
 
 

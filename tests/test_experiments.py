@@ -98,6 +98,17 @@ class TestSpec:
         spec = spec_from_file(path, tmp_path, seeds=[9])
         assert spec.seeds == [9]
 
+    def test_readme_config_example_is_valid(self, tmp_path):
+        """The JSON block under README's "Config file" heading reads as a
+        spec and passes every experiment's checks."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Config file\n", 1)[1]
+        path = tmp_path / "config.json"
+        path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+        spec = spec_from_file(path, tmp_path / "out")
+        for kind in ("train", "compare", "weight-sweep", "interference-sweep"):
+            spec.validate(kind)
+
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -620,6 +631,7 @@ class TestCli:
             {"agent": {"replay_capacity": 10}},
             {"agent": {"replay_capacity": 0}},
             {"agent": {"hard_copy_every": 5}},
+            {"env": {"action_mode": "binary"}},
             {"agent": {"replay_capacity": 100_000_000_000_000}},  # 7.11 PiB: malloc fails at once
             {"agent": {"hidden": [100_000_000_000]}},  # 8 TB of first-layer weights: malloc fails at once
             {"agent": {"replay_capacity": 10**19}},  # past int64: numpy refuses the shape
@@ -650,8 +662,8 @@ class TestCli:
              "ranges-missing-kind", "ranges-list", "ranges-triple",
              "ranges-list-replay", "unknown-weights-key", "unknown-section",
              "policy-bad-number", "fixed-period-fraction", "replay-capacity-below-batch",
-             "replay-capacity-0", "hard-copy-every-removed", "capacity-huge", "hidden-huge",
-             "capacity-past-int64", "hidden-past-int64",
+             "replay-capacity-0", "hard-copy-every-removed", "action-mode-removed",
+             "capacity-huge", "hidden-huge", "capacity-past-int64", "hidden-past-int64",
              "ranges-inverted", "sensors-short-pair", "sensors-flat", "sensors-str", "sensors-object",
              "sensors-null", "hidden-int", "hidden-null", "triples-flat", "triples-int", "eta-grid-int",
              "epochs-huge", "epochs-past-int64", "period-huge", "ranges-span-inf"],
@@ -669,7 +681,7 @@ class TestCli:
         field = {"sensors": "sensors", "hidden": "hidden", "triples": "weight_triples",
                  "four": "weight_triples", "eta": "eta_grid",
                  "capacity": "replay_capacity", "epochs": "epochs", "period": "period",
-                 "ranges": "ranges"}.get(prefix)
+                 "ranges": "ranges", "action": "action_mode"}.get(prefix)
         assert field is None or field in err, (field, err)
 
     def test_negative_seed_argument_is_one_line_exit_1(self, tmp_path, capsys):
@@ -711,23 +723,14 @@ class TestCli:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, action_mode, policies, message",
-        [("compare", "binary", [], "need at least one policy"),
-         ("sweep-interference", "binary", [], "need at least one policy"),
-         ("compare", "interval", ["dqn", "fixed(1)"],
-          "policy fixed(1) needs action_mode binary; interval mode runs only dqn")],
-        ids=["compare", "sweep-interference", "interval-baseline"],
-    )
-    def test_no_policies_is_one_line_exit_1(self, tmp_path, capsys, command, action_mode,
-                                            policies, message):
-        env = dict(CONFIG_JSON["env"], action_mode=action_mode)
+    @pytest.mark.parametrize("command", ["compare", "sweep-interference"])
+    def test_no_policies_is_one_line_exit_1(self, tmp_path, capsys, command):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict(CONFIG_JSON, env=env, experiment={"policies": policies})))
+        path.write_text(json.dumps(dict(CONFIG_JSON, experiment={"policies": []})))
         out = tmp_path / "out"
         code = cli.main([command, "--config", str(path), "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert capsys.readouterr().err == "configuration error: need at least one policy\n"
         assert not out.exists()
 
     def test_ingest_undecodable_byte_is_a_skip(self, tmp_path, capsys):

@@ -35,35 +35,35 @@ GOLDEN = {
     "compare/curve_seed2.csv": "0d2e985e46d0eecc95624a32c6174a8321d77bb865b5ce950ce7a8481f4d6de4",
     "compare/dqn_seed1.txt": "fd9b90f10da8fe4a23c389a0f241f00bf346bbeac5581d0aec9ebb8c0258df11",
     "compare/dqn_seed2.txt": "a8c60c5378876035238872020f61c774e64d8749af7c23cb5b5b108bece55ff0",
-    "compare/manifest.json": "c69f1c7d8ffa87801ace536b626e06ae8e7348986988ea180e2e55bfe377b30e",
+    "compare/manifest.json": "e475621d7d994b0c0d96ae96976dcfea75de638158aeb1e0131f1d4adb8be16e",
     "reuse/compare.csv": "dca8093e21c37a9618f2cf581e318af05e9d5ab37590782adc011af581dbd958",
-    "reuse/manifest.json": "608f61701debe017718f1a09741dc5ea6a7fef365506a30d0774ebe0c1f0cbe9",
+    "reuse/manifest.json": "8a3b43293903e69d3aecb98e4ec667c9bee7d40852c593200909049fc4141c7b",
     "sweep/curve_seed1.csv": "7f9763452bc00aaaa3a4b69609f97c64055b4712220228f5995204511833c67b",
     "sweep/curve_seed2.csv": "0d2e985e46d0eecc95624a32c6174a8321d77bb865b5ce950ce7a8481f4d6de4",
     "sweep/dqn_seed1.txt": "fd9b90f10da8fe4a23c389a0f241f00bf346bbeac5581d0aec9ebb8c0258df11",
     "sweep/dqn_seed2.txt": "a8c60c5378876035238872020f61c774e64d8749af7c23cb5b5b108bece55ff0",
     "sweep/interference_sweep.csv": "22454f57e425c061f9fd5e430dd92e2e5c1536b404361e906c34d9034d1dac93",
     "sweep/interference_sweep.dat": "926c3516271312624e3d266736a861ae7a841bf0d14212783b05a93fc38e066b",
-    "sweep/manifest.json": "e4f1983c69ea7cc29dbbdd854e5a95c2c45615c8ded3593772063da241e23a1b",
-    "weights/manifest.json": "006ee849dc8620f78e0931bf797f04e0524da3fb4af9ab60c8363ffed469dc5c",
+    "sweep/manifest.json": "a6b6c07ff4828d38914c2ca0cdcb228942ec04bd523996e18b176786a83cca9d",
+    "weights/manifest.json": "23bc9c369b15d14fb883c49119884cf06b897e9eff071735cb1ad71e5deab815",
     "weights/weight_sweep.csv": "9c1a401e0eecf96448d79154c8caf3bfa00203414eaefa7d45c4ce1286ec2c90",
     "weights/weight_sweep.dat": "c2dea73ec0bc979fe2466001ae4c4a365bd3efa2ec8208cff4e8a996a9d06e32",
     "train/curve_seed1.csv": "7f9763452bc00aaaa3a4b69609f97c64055b4712220228f5995204511833c67b",
     "train/curve_seed2.csv": "0d2e985e46d0eecc95624a32c6174a8321d77bb865b5ce950ce7a8481f4d6de4",
     "train/dqn_seed1.txt": "fd9b90f10da8fe4a23c389a0f241f00bf346bbeac5581d0aec9ebb8c0258df11",
     "train/dqn_seed2.txt": "a8c60c5378876035238872020f61c774e64d8749af7c23cb5b5b108bece55ff0",
-    "train/manifest.json": "b59ef05f6896e8b12c45a6f7763d18489ccd016297b76c67c2c5f15fef4394ac",
+    "train/manifest.json": "c6ef42294005a99fc60f08c41ad0e125a5e09e669aeb4ad577efa39924bcc3cd",
     "ingest/aligned.csv": "76e7d189fbfd2f364c55fe68e74333a578d3b848c89ff71a3281199f31924e77",
     "ingest/ingest_report.csv": "37914e9c72276b959ba213202b4e430a7bc6793e0e11aa30ae455c3fe7a13168",
     "replay/compare.csv": "83924283448191691ff59e78cd3165d482ea3fd539d18737ca586aa676c2acfa",
-    "replay/manifest.json": "a612ddcf247911d01f0d55192900ae78bbfc83fba3a565d366c95942fcfd4189",
+    "replay/manifest.json": "cebbf242a3f432482bd7415a546ae88bb64dd26fc478c888b4aa1be8ad5025b7",
     "episode/episode.csv": "7384112ed7091e601ca287e0a76459a604f64e99677c45aa72869f1f7627a37c",
-    "interval/curve_seed1.csv": "a9660d7426b1d962e6f0aada38e9033de6af52859acc74c85a5e19cc1400aace",
-    "interval/dqn_seed1.txt": "62ca3f52962ab786f8bdc1c01fde1ebaf2144e34a828d0911a052b7635a8b226",
-    "interval/episode.csv": "2cdfd49c90b6ba3c67c1c89e5e15cdc0fb24eb1b576a7108573f053e8b02d6ae",
-    "interval/manifest.json": "9ce310a5c1bbe69daf58474aeefbf7694a223460a3d189ba407f856d52496d55",
+    "empty/curve_seed1.csv": "3d28a8755221e817dbdccfef9e90fcdf71710661d2364f4a86b1e0a8659990bf",
+    "empty/dqn_seed1.txt": "caf2b0316a0b284da7608a3f44e8b751a57d124c67d531401161eb019841de56",
+    "empty/episode.csv": "30fd97319d534b1d6732f3e55b5003cbd5104185e4bb66b9921885fd106bf75c",
+    "empty/manifest.json": "4ed2270f5d90c8c83d39d4b8e8eed935f5166ce14d66590b128b747858cd7198",
     # everything the commands above print, in order
-    "stdout": "728ce28d94e22347cd65c7995764c9996c4bfa49551a82408e6c587248ea979d",
+    "stdout": "4dbe1726c8eba738f5fd6008d41e48d86e71b2225cf7eeabd2d43b37e3b182d2",
 }
 
 
@@ -78,11 +78,10 @@ SYNTHETIC = {
     },
 }
 
-# Interval mode: a pending transition spans the epochs a sensor sleeps,
-# and the small battery leaves sensors idle (empty) for part of the episode.
-INTERVAL = {
-    "env": {"sensors": ["temperature", "light"], "epochs": 30, "battery_mj": 12,
-            "action_mode": "interval"},
+# A small battery: sensors run empty and stay idle for the rest of the
+# episode, so a pending transition spans several epochs in training.
+EMPTY = {
+    "env": {"sensors": ["temperature", "light"], "epochs": 30, "battery_mj": 12},
     "agent": SYNTHETIC["agent"],
     "experiment": {"train_episodes": 6},
 }
@@ -152,11 +151,11 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys):
     _run(["ingest", "--trace", "trace.txt", "--out", "ingest", "--dump"])
     _run(["compare", "--config", "replay.json", "--out", "replay", "--seeds", "1,2,3"])
 
-    Path("interval.json").write_text(json.dumps(INTERVAL))
-    _run(["train", "--config", "interval.json", "--out", "interval", "--seeds", "1"])
-    env = SensorEnv(config_from_dict(INTERVAL["env"]))
-    run_episode(env, GreedyQPolicy(nn.load_network("interval/dqn_seed1.txt")), 5)
-    env.write_episode_csv(Path("interval") / "episode.csv")
+    Path("empty.json").write_text(json.dumps(EMPTY))
+    _run(["train", "--config", "empty.json", "--out", "empty", "--seeds", "1"])
+    env = SensorEnv(config_from_dict(EMPTY["env"]))
+    run_episode(env, GreedyQPolicy(nn.load_network("empty/dqn_seed1.txt")), 5)
+    env.write_episode_csv(Path("empty") / "episode.csv")
 
     env = SensorEnv(EnvConfig(epochs=25, eta=0.4))
     run_episode(env, ThresholdPolicy(0.1, horizon=25), 5)
@@ -165,7 +164,7 @@ def test_golden_outputs(tmp_path, monkeypatch, capsys):
 
     got = {}
     for out in ("compare", "reuse", "sweep", "weights", "train", "ingest", "replay", "episode",
-                "interval"):
+                "empty"):
         got.update(_hashes(tmp_path / out))
     got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == GOLDEN
